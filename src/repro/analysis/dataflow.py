@@ -30,13 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import AnalysisError
-from repro.relational.catalog import Catalog
+from repro.relational.catalog import MAX_VIEW_DEPTH, Catalog
 from repro.relational.expressions import And, Col, Expr, conjuncts, disjuncts
 from repro.relational.query import Query
 
 __all__ = ["ColumnFlow", "QueryFlow", "column_flows", "live_predicate_columns"]
-
-_MAX_VIEW_DEPTH = 32
 
 EMPTY: frozenset[str] = frozenset()
 
@@ -110,8 +108,8 @@ def column_flows(query: Query, catalog: Catalog) -> QueryFlow:
 
 
 def _resolve(name: str, catalog: Catalog, depth: int) -> QueryFlow:
-    if depth > _MAX_VIEW_DEPTH:
-        raise AnalysisError(f"view nesting deeper than {_MAX_VIEW_DEPTH}; cycle?")
+    if depth > MAX_VIEW_DEPTH:
+        raise AnalysisError(f"view nesting deeper than {MAX_VIEW_DEPTH}; cycle?")
     if catalog.is_table(name):
         schema = catalog.table(name).schema
         return QueryFlow(

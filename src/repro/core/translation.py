@@ -199,7 +199,14 @@ class ReportLevelEnforcer:
             )
         extended_name = f"{source}__plaext"
         extended = view_query.project(*view_outputs, *sorted(missing))
-        self.catalog.add_view(View(extended_name, extended), replace=True)
+        # Re-registering is catalog DDL: it bumps ddl_version, evicting every
+        # cached plan and re-keying every verdict over this catalog. Deliveries
+        # run under the daemon's read lock, so reuse an identical definition.
+        if not (
+            self.catalog.is_view(extended_name)
+            and self.catalog.view(extended_name).query == extended
+        ):
+            self.catalog.add_view(View(extended_name, extended), replace=True)
         return _replace(query, source=extended_name)
 
     def _source_outputs(self, relation: str) -> tuple[str, ...]:

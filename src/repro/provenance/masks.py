@@ -23,10 +23,12 @@ row is fully determined by ``(contributing leaf rows, column origins)``:
 
 :class:`MaskProvenance` is the decode boundary: a lazy, immutable
 ``Sequence[RowProvenance]`` that reconstructs the exact object provenance on
-access. ``Table``/``PlanCache`` recognize it via the ``lazy_provenance``
-marker and never force a full decode on the hot path, so benchmarks measure
-query execution, not provenance materialization. The differential suite
-compares decoded provenance value-for-value against the row engine.
+access. ``Table`` recognizes it via the ``lazy_provenance`` marker and never
+forces a full decode, so uncached execution (and the benchmarks) measure
+query execution, not provenance materialization. The plan-cached executor
+decodes a result once before caching it, so the caller and every later hit
+share the decoded rows. The differential suite compares decoded provenance
+value-for-value against the row engine.
 """
 
 from __future__ import annotations
@@ -97,6 +99,12 @@ def mask_from_selector(selector: bytes) -> int:
     return int(selector.translate(_SEL_TO_ASCII)[::-1], 2)
 
 
+def _merge(parts: list[frozenset]) -> frozenset:
+    """Union of ``parts``; a single part is shared rather than copied (the
+    sets are immutable, and the reference engine shares them the same way)."""
+    return parts[0] if len(parts) == 1 else _union(*parts)
+
+
 class LeafContribution:
     """Which rows of one leaf base table contribute to each output row.
 
@@ -154,8 +162,8 @@ class MaskProvenance(Sequence):
     dict with the same key set).
     """
 
-    #: Marker consumed by ``Table.derived`` / ``PlanCache.commit`` so lazy
-    #: sequences are stored as-is instead of being materialized.
+    #: Marker consumed by ``Table.derived`` / ``ColumnarTable.to_table`` so
+    #: lazy sequences are stored as-is instead of being materialized.
     lazy_provenance = True
 
     __slots__ = ("n", "leaves", "contribs", "origins")
@@ -178,20 +186,21 @@ class MaskProvenance(Sequence):
     # -- decoding -----------------------------------------------------------
 
     def _decode(self, i: int) -> RowProvenance:
-        leaves = self.leaves
-        per_leaf: list[list[RowProvenance]] = []
-        lineage_parts: list[frozenset] = []
-        for leaf, contrib in zip(leaves, self.contribs):
-            provs = [leaf[o] for o in contrib.ordinals(i)]
-            per_leaf.append(provs)
-            lineage_parts.extend(p.lineage for p in provs)
-        lineage = _union(*lineage_parts) if lineage_parts else _EMPTY_REFS
-        where: dict[str, frozenset] = {}
-        for alias, pairs in self.origins:
-            refs: list[frozenset] = []
-            for leaf_i, src in pairs:
-                refs.extend(p.where_of(src) for p in per_leaf[leaf_i])
-            where[alias] = _union(*refs) if refs else _EMPTY_REFS
+        per_leaf = [
+            [leaf[o] for o in contrib.ordinals(i)]
+            for leaf, contrib in zip(self.leaves, self.contribs)
+        ]
+        lineage = _merge([p.lineage for provs in per_leaf for p in provs])
+        where = {
+            alias: _merge(
+                [
+                    p.where.get(src, _EMPTY_REFS)
+                    for leaf_i, src in pairs
+                    for p in per_leaf[leaf_i]
+                ]
+            )
+            for alias, pairs in self.origins
+        }
         return RowProvenance.make(lineage, where)
 
     # -- Sequence protocol ----------------------------------------------------

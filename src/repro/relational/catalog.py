@@ -10,7 +10,11 @@ from repro.errors import CatalogError
 from repro.relational.query import Query
 from repro.relational.table import Table
 
-__all__ = ["View", "Catalog"]
+__all__ = ["View", "Catalog", "MAX_VIEW_DEPTH"]
+
+#: Deepest view nesting the executors and the static dataflow resolve; a
+#: deeper chain is refused as a probable cycle.
+MAX_VIEW_DEPTH = 32
 
 
 class View:

@@ -41,7 +41,7 @@ from repro.relational.algebra import (
     join_frame,
     project_plan,
 )
-from repro.relational.catalog import Catalog
+from repro.relational.catalog import MAX_VIEW_DEPTH, Catalog
 from repro.relational.expressions import Col, Expr
 from repro.relational.query import Query, _ensure_select_consistency
 from repro.relational.schema import Column, Schema
@@ -50,7 +50,6 @@ from repro.relational.vector import try_vector_core
 
 __all__ = ["ColumnarTable", "execute_columnar"]
 
-_MAX_VIEW_DEPTH = 32
 _EMPTY_REFS: frozenset = frozenset()
 _union = frozenset().union
 
@@ -793,8 +792,8 @@ def limit_c(table: ColumnarTable, n: int, *, name: str | None = None) -> Columna
 
 
 def _resolve(name: str, catalog: Catalog, depth: int) -> ColumnarTable:
-    if depth > _MAX_VIEW_DEPTH:
-        raise QueryError(f"view nesting deeper than {_MAX_VIEW_DEPTH}; cycle?")
+    if depth > MAX_VIEW_DEPTH:
+        raise QueryError(f"view nesting deeper than {MAX_VIEW_DEPTH}; cycle?")
     if catalog.is_table(name):
         # Shallow wrapper around the cached transpose: vectors are shared
         # (never mutated), but the wrapper's ``name`` is ours to reassign
@@ -882,7 +881,7 @@ def _run_core(query: Query, catalog: Catalog, *, depth: int) -> ColumnarTable:
     # masks (see repro.relational.vector). When eligible it executes the
     # whole core in single passes and returns lazily-decoded provenance;
     # otherwise fall through to the object-columnar operators below.
-    fast = try_vector_core(query, catalog)
+    fast = try_vector_core(query, catalog, depth)
     if fast is not None:
         current = ColumnarTable(
             fast.name, fast.schema, list(fast.columns), fast.provenance

@@ -23,14 +23,12 @@ from repro.errors import QueryError
 from repro.obs import instrument
 from repro.obs.trace import TRACER
 from repro.relational import algebra
-from repro.relational.catalog import Catalog
+from repro.relational.catalog import MAX_VIEW_DEPTH, Catalog
 from repro.relational.execconfig import ExecutionConfig, get_default_config
 from repro.relational.query import Query, _ensure_select_consistency
 from repro.relational.table import Table
 
 __all__ = ["execute", "execute_row", "Engine"]
-
-_MAX_VIEW_DEPTH = 32
 
 
 def execute(
@@ -79,6 +77,10 @@ def _dispatch(
     if cached is not None:
         return cached
     result = execute_columnar(query, catalog, name=name)
+    # Decode lazy provenance once, here: the caller and every later hit
+    # share the decoded rows instead of each decoding the masks again.
+    if getattr(result.provenance, "lazy_provenance", False):
+        result.provenance = result.provenance.materialize()
     cache.commit(reservation, result)
     return result
 
@@ -89,8 +91,8 @@ def execute_row(query: Query, catalog: Catalog, *, name: str | None = None) -> T
 
 
 def _resolve(name: str, catalog: Catalog, depth: int) -> Table:
-    if depth > _MAX_VIEW_DEPTH:
-        raise QueryError(f"view nesting deeper than {_MAX_VIEW_DEPTH}; cycle?")
+    if depth > MAX_VIEW_DEPTH:
+        raise QueryError(f"view nesting deeper than {MAX_VIEW_DEPTH}; cycle?")
     if catalog.is_table(name):
         return catalog.table(name)
     if catalog.is_view(name):

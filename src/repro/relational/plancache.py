@@ -135,16 +135,11 @@ class PlanCache:
         (counted in ``stats.dropped_fills``).
         """
         self._ensure_hook(reservation.catalog)
-        provenance = result.provenance
-        if not getattr(provenance, "lazy_provenance", False):
-            # Lazy (mask-encoded) provenance is immutable and shareable, so
-            # it snapshots by reference; everything else is frozen to a tuple.
-            provenance = tuple(provenance)
         snap = (
             result.name,
             result.schema,
             tuple(result.rows),
-            provenance,
+            tuple(result.provenance),
             result.provider,
         )
         return self._cache.put_if(reservation.key, snap, reservation.token)

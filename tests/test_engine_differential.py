@@ -3,10 +3,10 @@ reference engine.
 
 The row engine (:func:`repro.relational.execute_row`) is the semantics
 oracle. For hypothesis-generated random tables (NULL-heavy) and random query
-trees — joins (inner and left outer), three-valued WHERE logic, grouping and
-aggregates, HAVING, computed projections, DISTINCT, ORDER BY, LIMIT — the
-columnar path (with plan caching disabled, so every run actually executes)
-must produce:
+trees — FROM a base table or a view over it, joins (inner and left outer),
+three-valued WHERE logic, grouping and aggregates, HAVING, computed
+projections, DISTINCT, ORDER BY, LIMIT — the columnar path (with plan
+caching disabled, so every run actually executes) must produce:
 
 * the same output schema,
 * the same rows in the same order (which implies bag equality), and
@@ -14,7 +14,8 @@ must produce:
   value-equal row by row — the property PLA auditing depends on;
 
 and when the reference raises, the columnar path must raise the same
-exception type with the same message.
+exception type with the same message. The vector planner must inline the
+view bodies it can fold into its frame and decline every other one.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.relational import (
 )
 from repro.relational.expressions import And, Arith, Col, Comparison, IsNull, Lit, Not, Or
 from repro.relational.types import ColumnType
+from repro.relational.vector import set_vector_enabled, try_vector_core
 
 UNCACHED = ExecutionConfig(mode="columnar", use_plan_cache=False)
 
@@ -138,9 +140,66 @@ _AGG_MENU = [
 ]
 
 
+def _view(name: str, body: str | Query) -> View:
+    return View(name, parse_query(body) if isinstance(body, str) else body)
+
+
 @st.composite
-def query_trees(draw) -> Query:
-    q = Query.from_("t")
+def sources(draw) -> tuple[str, tuple[View, ...], bool]:
+    """The FROM relation: ``t``, or a view exposing t's ``(g, x, y)``.
+
+    Returns ``(name, views to register, inlinable)``; ``inlinable`` says
+    whether the vector planner can fold the view chain into its frame.
+    """
+    kind = draw(
+        st.sampled_from(
+            [
+                "table",
+                # inlinable bodies
+                "renamed",
+                "where",
+                "star_where",
+                "inner_join",
+                "chain",
+                # bodies the planner must decline
+                "computed",
+                "distinct",
+                "left_join",
+                "aggregate",
+            ]
+        )
+    )
+    if kind == "table":
+        return "t", (), True
+    if kind == "chain":
+        base = _view("v_base", "SELECT g AS k, x AS a, y AS b FROM t")
+        top = Query.from_("v_base")
+        if draw(st.booleans()):
+            top = top.filter(draw(_predicates(["a", "b"], ["k"])))
+        top = top.project(("g", Col("k")), ("x", Col("b")), ("y", Col("a")))
+        return "v", (base, _view("v", top)), True
+    if kind == "where":
+        body = Query.from_("t").filter(draw(_predicates(["x", "y"], ["g"])))
+        return "v", (_view("v", body.project("g", "x", "y")),), True
+    if kind == "star_where":
+        body = Query.from_("t").filter(draw(_predicates(["x", "y"], ["g"])))
+        return "v", (_view("v", body),), True
+    body = {
+        "renamed": "SELECT g, y AS x, x AS y FROM t",
+        "inner_join": "SELECT g, x, y FROM t JOIN d ON g = h",
+        "computed": "SELECT g, x, x + y AS y FROM t",
+        "distinct": "SELECT DISTINCT g, x, y FROM t",
+        "left_join": "SELECT g, x, y FROM t LEFT JOIN d ON g = h",
+        "aggregate": "SELECT g, x, COUNT(*) AS y FROM t GROUP BY g, x",
+    }[kind]
+    return "v", (_view("v", body),), kind in ("renamed", "inner_join")
+
+
+@st.composite
+def query_trees(draw) -> tuple[Query, tuple[View, ...], bool]:
+    """A random query over :func:`sources`: ``(query, views, inlinable)``."""
+    source, views, inlinable = draw(sources())
+    q = Query.from_(source)
     str_cols, int_cols = ["g"], ["x", "y"]
     if draw(st.booleans()):
         how = draw(st.sampled_from(["inner", "left"]))
@@ -198,7 +257,7 @@ def query_trees(draw) -> Query:
         q = q.order_by(*keys)
     if draw(st.booleans()):
         q = q.limit(draw(st.integers(min_value=0, max_value=7)))
-    return q
+    return q, views, inlinable
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +270,28 @@ def query_trees(draw) -> Query:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(t_rows=t_rows_strategy, d_rows=d_rows_strategy, query=query_trees())
-def test_columnar_matches_row_reference(t_rows, d_rows, query):
-    assert_equivalent(query, build_catalog(t_rows, d_rows))
+@given(t_rows=t_rows_strategy, d_rows=d_rows_strategy, tree=query_trees())
+def test_columnar_matches_row_reference(t_rows, d_rows, tree):
+    query, views, inlinable = tree
+    catalog = build_catalog(t_rows, d_rows)
+    for view in views:
+        catalog.add_view(view)
+    assert_equivalent(query, catalog)
+
+    # The planner's decision, independent of the REPRO_VECTOR kill switch.
+    prev = set_vector_enabled(True)
+    try:
+        engaged = try_vector_core(query, catalog) is not None
+    except Exception:  # noqa: BLE001 - error parity is checked above
+        engaged = None
+    finally:
+        set_vector_enabled(prev)
+    if not inlinable:
+        assert engaged is False
+    elif all(c.how == "inner" for c in query.joins) and (
+        query.select or query.is_aggregate
+    ):
+        assert engaged is not False
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,6 +429,27 @@ def test_bare_select_star_returns_base_contents():
     assert list(got.rows) == list(ref.rows)
     assert list(got.provenance) == list(ref.provenance)
     assert got.schema == ref.schema
+
+
+@pytest.mark.parametrize(
+    "t_rows",
+    [
+        [("a", 1, 1), ("b", 2, 2), ("a", 3, 3)],  # every row matches once
+        [("a", 1, 1), (None, 2, 2), ("zzz", 3, 3)],  # NULL and missing keys
+    ],
+)
+def test_unique_key_joins(t_rows):
+    """Unique right keys (a dimension's surrogate key) take the one-map
+    probe; a left side matching one row each keeps its row space."""
+    cat = build_catalog(t_rows, [("a", 7), ("b", 8)])
+    cat.add_view(View("v", parse_query("SELECT g, x, z FROM t JOIN d ON g = h")))
+    for sql in (
+        "SELECT g, x, z FROM t JOIN d ON g = h WHERE x > 1",
+        "SELECT h, COUNT(*) AS n, SUM(y) AS sy FROM t JOIN d ON g = h GROUP BY h",
+        "SELECT g, z FROM v WHERE x < 3",
+        "SELECT g, d.z FROM v JOIN d ON g = h",
+    ):
+        assert_equivalent(parse_query(sql), cat)
 
 
 @pytest.mark.parametrize("how", ["inner", "left"])

@@ -248,3 +248,45 @@ class TestCrossLayerProjection:
             enforcer._apply_anonymization(
                 table, [AnonymizationRequirement("patient", "pseudonymize")]
             )
+
+
+class TestExtensionViewReuse:
+    def test_repeat_deliveries_keep_the_catalog_and_its_caches_warm(self):
+        """A report over a meta-report that hides its condition column runs
+        through ``<view>__plaext``. Registering that view is catalog DDL,
+        which deliveries perform under the daemon's read lock; doing it again
+        on every delivery would evict every cached plan and re-key every
+        verdict over the catalog."""
+        from repro.relational.execconfig import get_default_config
+        from repro.simulation import build_scenario
+
+        scenario = build_scenario()
+        scenario.report_catalog.add(
+            ReportDefinition(
+                name="drugs_over_mr_1",
+                title="drugs over mr_1",
+                query=parse_query(
+                    "SELECT drug, COUNT(*) AS n FROM mr_1 GROUP BY drug"
+                ),
+                audience=frozenset({"analyst"}),
+                purpose="care/quality",
+            )
+        )
+        service = scenario.delivery_service()
+        catalog = scenario.bi_catalog
+        # The row reference (REPRO_ENGINE_MODE=row) executes uncached.
+        plans = get_default_config().effective_plan_cache()
+
+        service.deliver("drugs_over_mr_1", user="ann", purpose="care/quality")
+        assert catalog.is_view("mr_1__plaext")  # mr_1 hides ``disease``
+        ddl_version = catalog.ddl_version
+        service.deliver("rpt_010", user="ann", purpose="research/epidemiology")
+        for _ in range(3):
+            service.deliver("drugs_over_mr_1", user="ann", purpose="care/quality")
+            plan_hits = plans.stats.hits if plans is not None else 0
+            verdict_hits = scenario.checker.cache_stats()["hits"]
+            service.deliver("rpt_010", user="ann", purpose="research/epidemiology")
+            if plans is not None:
+                assert plans.stats.hits == plan_hits + 1
+            assert scenario.checker.cache_stats()["hits"] == verdict_hits + 1
+        assert catalog.ddl_version == ddl_version
