@@ -1,4 +1,4 @@
-"""Engine microbenchmarks: row reference vs object-columnar vs fused vector.
+"""Engine microbenchmarks: row reference vs fused vector kernels.
 
 Two consumers:
 
@@ -6,9 +6,8 @@ Two consumers:
   for both engine modes plus the provenance-overhead sanity check;
 * :func:`main` (via ``python benchmarks/run_all.py engine [--json]`` or
   ``repro bench``) — the scaling table: per query and size, wall time on
-  all three execution tiers (row reference; object-columnar with the vector
-  fast path disabled; fused vector kernels with bitset provenance),
-  throughput, speedups, plan-cache warm-hit speedup, and the
+  both execution tiers (row reference; fused vector kernels with bitset
+  provenance), throughput, speedup, plan-cache warm-hit speedup, and the
   containment-proof cache cold/warm ratio. ``--json`` writes the same
   numbers to ``BENCH_engine.json`` for CI trending.
 
@@ -49,14 +48,13 @@ from repro.relational import (
     parse_query,
 )
 from repro.relational.types import ColumnType
-from repro.relational.vector import set_vector_enabled
 
 SIZES = [1_000, 10_000, 100_000, 1_000_000]
 SMOKE_SIZES = [200, 2_000]
 
-#: Sizes at and past this point get one timed repeat on the slow tiers
-#: (row reference, object-columnar) — a single 1M-row row-engine join is
-#: tens of seconds, and ``min`` over one sample is still the sample.
+#: Sizes at and past this point get one timed repeat on the row reference —
+#: a single 1M-row row-engine join is tens of seconds, and ``min`` over one
+#: sample is still the sample.
 SINGLE_REPEAT_AT = 500_000
 
 #: The tentpole gate: fused vector kernels vs the row reference at the
@@ -221,17 +219,17 @@ def _containment_workload(n_reports: int) -> tuple[Catalog, list[Query], Query]:
 
 
 def run_engine_bench(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]:
-    """Measure all three tiers across sizes; returns the full results dict."""
+    """Measure both tiers across sizes; returns the full results dict."""
     sizes = SMOKE_SIZES if smoke else SIZES
     rows: list[dict[str, Any]] = []
     for size in sizes:
         cat = build_catalog(size)
-        slow_repeats = 1 if size >= SINGLE_REPEAT_AT else repeats
+        row_repeats = 1 if size >= SINGLE_REPEAT_AT else repeats
         for qname, sql in QUERIES.items():
             query = parse_query(sql)
             # Fused vector path first: it is the cheapest tier and its
-            # output also supplies rows_out, so the slow tiers run exactly
-            # once each at the 1M size (a 1M-row row-engine join is ~45s).
+            # output also supplies rows_out, so the row reference runs
+            # exactly once at the 1M size (a 1M-row row-engine join is ~45s).
             fused_out = execute(query, cat, config=UNCACHED_COLUMNAR)
             n_out = len(fused_out)
             # The fused tier is cheap enough to sample generously, and at
@@ -242,17 +240,8 @@ def run_engine_bench(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]
                 lambda: execute(query, cat, config=UNCACHED_COLUMNAR),
                 fused_repeats,
             )
-            # Object-columnar tier: same planner, vector fast path off.
-            prev = set_vector_enabled(False)
-            try:
-                col_s = _best_of(
-                    lambda: execute(query, cat, config=UNCACHED_COLUMNAR),
-                    slow_repeats,
-                )
-            finally:
-                set_vector_enabled(prev)
             row_s = _best_of(
-                lambda: execute(query, cat, config=ROW), slow_repeats
+                lambda: execute(query, cat, config=ROW), row_repeats
             )
             # Warm plan-cache hits against a private cache.
             cache = PlanCache()
@@ -265,15 +254,12 @@ def run_engine_bench(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]
                     "size": size,
                     "rows_out": n_out,
                     "row_s": row_s,
-                    "columnar_s": col_s,
                     "fused_s": fused_s,
-                    "speedup": row_s / col_s if col_s else float("inf"),
                     "fused_speedup": row_s / fused_s if fused_s else float("inf"),
                     "rows_per_s_row": size / row_s if row_s else float("inf"),
-                    "rows_per_s_columnar": size / col_s if col_s else float("inf"),
                     "rows_per_s_fused": size / fused_s if fused_s else float("inf"),
                     "warm_s": warm_s,
-                    "warm_speedup": col_s / warm_s if warm_s else float("inf"),
+                    "warm_speedup": fused_s / warm_s if warm_s else float("inf"),
                     "plan_cache_hit_rate": cache.stats.hit_rate,
                 }
             )
@@ -282,8 +268,6 @@ def run_engine_bench(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]
     at_largest = [r for r in rows if r["size"] == largest]
     summary = {
         "largest_size": largest,
-        "min_speedup_at_largest": min(r["speedup"] for r in at_largest),
-        "max_speedup_at_largest": max(r["speedup"] for r in at_largest),
         "min_fused_speedup_at_largest": min(
             r["fused_speedup"] for r in at_largest
         ),
@@ -333,23 +317,21 @@ def run_engine_bench(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]
 
 
 def _print_report(results: dict[str, Any]) -> None:
-    print("Row reference vs object-columnar vs fused vector kernels")
+    print("Row reference vs fused vector kernels")
     print(
-        f"{'query':<16} {'size':>8} {'out':>8} {'row s':>9} {'col s':>9} "
-        f"{'fused s':>9} {'col x':>7} {'fused x':>8} {'warm x':>7}"
+        f"{'query':<16} {'size':>8} {'out':>8} {'row s':>9} "
+        f"{'fused s':>9} {'fused x':>8} {'warm x':>7}"
     )
     for r in results["engine"]:
         print(
             f"{r['query']:<16} {r['size']:>8} {r['rows_out']:>8} "
-            f"{r['row_s']:>9.4f} {r['columnar_s']:>9.4f} {r['fused_s']:>9.4f} "
-            f"{r['speedup']:>6.1f}x {r['fused_speedup']:>7.1f}x "
-            f"{r['warm_speedup']:>6.1f}x"
+            f"{r['row_s']:>9.4f} {r['fused_s']:>9.4f} "
+            f"{r['fused_speedup']:>7.1f}x {r['warm_speedup']:>6.1f}x"
         )
     s = results["summary"]
     print(
-        f"\nAt n={s['largest_size']}: object-columnar "
-        f"{s['min_speedup_at_largest']:.1f}x–{s['max_speedup_at_largest']:.1f}x, "
-        f"fused {s['min_fused_speedup_at_largest']:.1f}x–"
+        f"\nAt n={s['largest_size']}: fused "
+        f"{s['min_fused_speedup_at_largest']:.1f}x–"
         f"{s['max_fused_speedup_at_largest']:.1f}x over the row reference."
     )
     for g in results["gates"]:

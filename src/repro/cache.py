@@ -3,7 +3,7 @@
 Two consumers:
 
 * :mod:`repro.relational.plancache` — the normalized-plan/result cache of the
-  columnar executor;
+  production (columnar-mode) executor;
 * :mod:`repro.core.containment` — memoized derivability/containment proofs
   (meta-report compliance is re-proved on every report-evolution step, and
   the proof inputs rarely change between steps).

@@ -644,11 +644,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["engine", "obs", "resilience", "verify", "ingest", "service"],
         default="engine",
         help=(
-            "engine: row vs columnar scaling; obs: tracing overhead; "
-            "resilience: fault-wrapper overhead; verify: solver throughput "
-            "and whole-catalog verification wall time; ingest: SQL suite "
-            "compilation scaling; service: concurrent daemon throughput/"
-            "latency with linearizability gating"
+            "engine: row reference vs fused vector scaling; obs: tracing "
+            "overhead; resilience: fault-wrapper overhead; verify: solver "
+            "throughput and whole-catalog verification wall time; ingest: "
+            "SQL suite compilation scaling; service: concurrent daemon "
+            "throughput/latency with linearizability gating"
         ),
     )
     bench.add_argument(

@@ -1,6 +1,6 @@
 """Bitset provenance masks: compact lineage/where encoding for vector kernels.
 
-The row and columnar engines carry one :class:`RowProvenance` object per
+The row engine carries one :class:`RowProvenance` object per
 output row — a dict of frozensets of :class:`CellRef`. That is exact but
 expensive: the object graph dominates both the memory and the wall time of
 large scans. The vector fast path (:mod:`repro.relational.vector`) instead
@@ -162,8 +162,8 @@ class MaskProvenance(Sequence):
     dict with the same key set).
     """
 
-    #: Marker consumed by ``Table.derived`` / ``ColumnarTable.to_table`` so
-    #: lazy sequences are stored as-is instead of being materialized.
+    #: Marker consumed by ``Table.derived`` so lazy sequences are stored
+    #: as-is instead of being materialized.
     lazy_provenance = True
 
     __slots__ = ("n", "leaves", "contribs", "origins")

@@ -20,7 +20,7 @@ from repro.relational.algebra import (
     union,
 )
 from repro.relational.catalog import Catalog, View
-from repro.relational.columnar import ColumnarTable, execute_columnar
+from repro.relational.columnar import execute_columnar
 from repro.relational.engine import Engine, execute, execute_row
 from repro.relational.execconfig import (
     COLUMNAR,
@@ -62,7 +62,6 @@ __all__ = [
     "Col",
     "Column",
     "ColumnType",
-    "ColumnarTable",
     "Comparison",
     "Engine",
     "ExecutionConfig",

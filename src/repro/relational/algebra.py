@@ -12,6 +12,10 @@ operator per the rules of Cui–Widom lineage tracing:
 * ``join`` merges the two sides' provenance per output row;
 * ``aggregate`` gives each group the union of its members' lineage — the
   contributor set whose size an aggregation-threshold PLA constrains.
+
+These are the row reference engine's operators. The production executor
+runs them too: for every SELECT core the vector planner declines, and for
+DISTINCT, set operations, ORDER BY and LIMIT on top of every core.
 """
 
 from __future__ import annotations
@@ -65,8 +69,8 @@ def project_plan(
     """Resolve a projection list against ``in_schema``.
 
     Returns the output schema and ``(alias, expr, is_copy)`` extractors.
-    Shared by the row-store and columnar executors so both validate and
-    type-infer identically.
+    Shared by the row operators and the fused vector kernels so both
+    validate and type-infer identically.
     """
     out_cols: list[Column] = []
     extractors: list[tuple[str, Expr, bool]] = []  # (alias, expr, is_copy)
@@ -149,7 +153,7 @@ def join_frame(
     """Validate a join and compute its output frame.
 
     Returns ``(schema, collisions, left_key_idx, right_key_idx)``. Shared by
-    the row-store and columnar executors.
+    the row operators and the fused vector kernels.
     """
     if how not in ("inner", "left", "right", "full", "cross"):
         raise QueryError(f"unsupported join type {how!r}")
@@ -193,7 +197,7 @@ def join(
     ``how`` is ``"inner"``, ``"left"``, ``"right"``, or ``"full"``. Name
     collisions between the two sides are qualified as ``<table>.<column>``.
 
-    Output order (mirrored exactly by the columnar executor): matched pairs
+    Output order (mirrored exactly by the vector kernels): matched pairs
     in left-major order (left row order, then right insertion order per
     key), then — for LEFT/FULL — each unmatched left row in left order at
     its probe position, then — for RIGHT/FULL — the unmatched right rows in
@@ -355,7 +359,7 @@ def aggregate_output_schema(
 ) -> Schema:
     """Validate a GROUP BY block and compute its output schema.
 
-    Shared by the row-store and columnar executors.
+    Shared by the row operators and the fused vector kernels.
     """
     for g in group_by:
         in_schema.column(g)

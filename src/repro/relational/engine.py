@@ -5,19 +5,27 @@ Views are expanded by recursive execution (no materialization), so the
 provenance of a view's output reaches all the way down to base rows — which
 is what report-level PLA auditing needs.
 
-:func:`execute` dispatches between two implementations chosen by an
+:func:`execute` dispatches between two configurations chosen by an
 :class:`~repro.relational.execconfig.ExecutionConfig`:
 
 * the **row-store reference path** in this module — row-at-a-time, simple,
   and never cached; the semantics oracle for differential testing;
-* the **columnar batch path** in :mod:`repro.relational.columnar`, fronted
-  by the normalized-plan result cache of
-  :mod:`repro.relational.plancache`.
+* the **production path** in :mod:`repro.relational.columnar`, fronted by
+  the normalized-plan result cache of :mod:`repro.relational.plancache`:
+  each SELECT core runs on the fused vector kernels of
+  :mod:`repro.relational.vector`, and a core the planner declines runs on
+  this module's row operators.
 
-Both produce value-identical tables, provenance included.
+Both share this module's executor loop: a ``core`` callable runs each
+SELECT block (and each view body resolved inside one), while set
+operations, ORDER BY and LIMIT use the same :mod:`~repro.relational.algebra`
+operators either way. Both produce value-identical tables, provenance
+included.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.errors import QueryError
 from repro.obs import instrument
@@ -29,6 +37,9 @@ from repro.relational.query import Query, _ensure_select_consistency
 from repro.relational.table import Table
 
 __all__ = ["execute", "execute_row", "Engine"]
+
+#: Runs one SELECT core: ``core(query, catalog, depth) -> Table``.
+Core = Callable[[Query, Catalog, int], Table]
 
 
 def execute(
@@ -90,24 +101,33 @@ def execute_row(query: Query, catalog: Catalog, *, name: str | None = None) -> T
     return _execute(query, catalog, depth=0, name=name)
 
 
-def _resolve(name: str, catalog: Catalog, depth: int) -> Table:
+def _resolve(name: str, catalog: Catalog, depth: int, core: Core | None) -> Table:
     if depth > MAX_VIEW_DEPTH:
         raise QueryError(f"view nesting deeper than {MAX_VIEW_DEPTH}; cycle?")
     if catalog.is_table(name):
         return catalog.table(name)
     if catalog.is_view(name):
         view = catalog.view(name)
-        return _execute(view.query, catalog, depth=depth + 1, name=name)
+        return _execute(view.query, catalog, depth=depth + 1, name=name, core=core)
     raise QueryError(f"unknown relation {name!r}")
 
 
-def _execute(query: Query, catalog: Catalog, *, depth: int, name: str | None) -> Table:
-    current = _execute_core(query, catalog, depth=depth)
+def _execute(
+    query: Query,
+    catalog: Catalog,
+    *,
+    depth: int,
+    name: str | None,
+    core: Core | None = None,
+) -> Table:
+    """Run ``query``; ``core`` runs each SELECT core (``None``: the row one)."""
+    run_core = core if core is not None else _execute_core
+    current = run_core(query, catalog, depth)
 
     # Set operations: combine positionally (branch columns are renamed to
     # the head's names, like SQL), dedup after each UNION (left-assoc).
     for clause in query.set_ops:
-        branch = _execute_core(clause.query, catalog, depth=depth)
+        branch = run_core(clause.query, catalog, depth)
         current = algebra.union(current, _conform(branch, current))
         if clause.op == "union":
             current = algebra.distinct(current)
@@ -119,18 +139,31 @@ def _execute(query: Query, catalog: Catalog, *, depth: int, name: str | None) ->
     if query.limit_n is not None:
         current = algebra.limit(current, query.limit_n)
 
+    if catalog.is_table(query.source) and current is catalog.table(query.source):
+        # A bare ``SELECT * FROM t``: hand out a copy, so naming (or
+        # inserting into) the result never touches the catalog's table.
+        current = Table.derived(
+            current.name,
+            current.schema,
+            current.rows,
+            current.provenance,
+            provider=current.provider,
+        )
     if name is not None:
         current.name = name
     return current
 
 
-def _execute_core(query: Query, catalog: Catalog, *, depth: int) -> Table:
-    """One SELECT block, FROM through DISTINCT (no set ops/ORDER/LIMIT)."""
+def _execute_core(
+    query: Query, catalog: Catalog, depth: int, core: Core | None = None
+) -> Table:
+    """One SELECT block, FROM through DISTINCT (no set ops/ORDER/LIMIT), on
+    the row operators; views it reads run their cores on ``core``."""
     _ensure_select_consistency(query)
-    current = _resolve(query.source, catalog, depth)
+    current = _resolve(query.source, catalog, depth, core)
 
     for clause in query.joins:
-        right = _resolve(clause.table, catalog, depth)
+        right = _resolve(clause.table, catalog, depth, core)
         current = algebra.join(current, right, clause.on, how=clause.how)
 
     if query.where is not None:

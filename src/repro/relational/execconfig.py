@@ -2,16 +2,19 @@
 
 Two modes:
 
-* ``"columnar"`` (default) — the batch executor in
-  :mod:`repro.relational.columnar`, optionally fronted by the normalized-plan
-  result cache;
+* ``"columnar"`` (default) — the production executor in
+  :mod:`repro.relational.columnar` (fused vector kernels per SELECT core,
+  the row operators for the rest), optionally fronted by the
+  normalized-plan result cache;
 * ``"row"`` — the row-at-a-time reference executor, never cached. Keeping
   the reference path cache-free is what lets the differential test suite
   treat it as ground truth.
 
 The process default can be overridden with the ``REPRO_ENGINE_MODE``
 environment variable (``row`` or ``columnar``), which is how the CI matrix
-and benchmark harness flip engines without touching call sites.
+and benchmark harness flip engines without touching call sites. Any other
+non-empty value raises :class:`ValueError` at import, so a mistyped CI leg
+fails instead of silently testing the default twice.
 
 ``observe`` opts one config into :mod:`repro.obs` tracing: ``None`` (the
 default) follows the process-wide switch (``repro.obs.enable()`` /
@@ -77,9 +80,12 @@ COLUMNAR = ExecutionConfig(mode="columnar")
 
 def _initial_default() -> ExecutionConfig:
     mode = os.environ.get("REPRO_ENGINE_MODE", "").strip().lower()
-    if mode in _MODES:
-        return ExecutionConfig(mode=mode)
-    return ExecutionConfig()
+    if mode and mode not in _MODES:
+        raise ValueError(
+            f"REPRO_ENGINE_MODE={mode!r} is not an execution mode; "
+            f"expected one of {_MODES}"
+        )
+    return ExecutionConfig(mode=mode) if mode else ExecutionConfig()
 
 
 _default_config = _initial_default()

@@ -52,7 +52,7 @@ class Expr:
         ``cols`` maps column name → column vector (all of length ``n``).
         The built-in nodes override this with vectorized loops; this default
         reconstructs row dicts so third-party :class:`Expr` subclasses keep
-        working on the columnar path without writing a batch kernel.
+        working on the vector path without writing a batch kernel.
         """
         names = list(cols)
         vectors = [cols[name] for name in names]

@@ -75,7 +75,7 @@ class RowProvenance:
         lineage: frozenset[RowId],
         where: Mapping[str, frozenset[CellRef]],
     ) -> "RowProvenance":
-        """Fast-path constructor for hot loops (columnar operators).
+        """Fast-path constructor for hot loops (vector provenance decoding).
 
         Skips the frozen-dataclass ``__init__``/``__post_init__`` machinery;
         ``where`` must already be a concrete mapping (never ``None``). The
@@ -129,7 +129,7 @@ class Table:
         self.rows: list[tuple[Any, ...]] = []
         self.provenance: list[RowProvenance] = []
         # Bumped on every insert; cache keys pair it with the row count so
-        # result/columnar caches never serve data from a mutated table.
+        # result/vector caches never serve data from a mutated table.
         self.data_version = 0
 
     # -- construction -------------------------------------------------------

@@ -1,11 +1,10 @@
 """Typed column vectors and fused single-pass kernels (the vector fast path).
 
-This is the third execution tier, below the row-store reference engine and
-the object-columnar batch path:
+The production executor (:mod:`repro.relational.columnar`) hands every
+SELECT core to this module first:
 
-* **row** (:mod:`repro.relational.engine`) — the semantics oracle;
-* **columnar** (:mod:`repro.relational.columnar`) — per-column Python lists,
-  per-row :class:`RowProvenance` objects;
+* **row** (:mod:`repro.relational.engine`) — the semantics oracle, and the
+  operators a declined core runs on;
 * **vector** (this module) — typed ``array`` column vectors with
   dictionary-encoded strings, selector ``bytes``, and **bitset provenance
   masks** (:mod:`repro.provenance.masks`) instead of per-row objects.
@@ -13,8 +12,8 @@ the object-columnar batch path:
 The fast path is a *planner*, not a separate engine: ``try_vector_core``
 inspects one SELECT core and either executes it end to end — scan→filter→
 project and join→filter→project→group-aggregate fused into single passes —
-or returns ``None``, in which case ``columnar._run_core`` proceeds exactly
-as before. Eligibility is conservative:
+or returns ``None``, in which case the core runs on the row engine's
+operators. Eligibility is conservative:
 
 * every join is INNER and its right-hand side is a base table;
 * the FROM relation is a base table or a view *inlined at plan time*: a
@@ -31,9 +30,9 @@ as before. Eligibility is conservative:
 
 Everything observable — values, row order, schema, why-lineage, per-cell
 where-provenance, and the exception type/message on malformed queries — is
-identical to the reference engines; the differential suite enforces it.
+identical to the reference engine; the differential suite enforces it.
 
-Error-surfacing order mirrors ``columnar._run_core``: an inlined view's
+Error-surfacing order mirrors ``engine._execute_core``: an inlined view's
 body surfaces its errors first (as the resolver would while resolving the
 FROM relation, view-nesting limit included), then join frames validate in
 join order, then the WHERE predicate (unknown-column check before
@@ -44,11 +43,10 @@ before probing surfaces the same exception the interleaved reference would.
 
 from __future__ import annotations
 
-import os
 import weakref
 from array import array
 from itertools import compress
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Sequence
 
 from repro.errors import QueryError
 from repro.provenance.masks import (
@@ -69,44 +67,15 @@ from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.relational.types import ColumnType
 
-__all__ = [
-    "VectorTable",
-    "VectorResult",
-    "try_vector_core",
-    "vector_table",
-    "set_vector_enabled",
-]
+__all__ = ["VectorTable", "try_vector_core", "vector_table"]
 
-#: Kill switch: ``REPRO_VECTOR=0`` (or :func:`set_vector_enabled`) forces the
-#: object-columnar operators, isolating the tiers for benchmarks and for the
-#: CI engine-mode matrix. On by default — the fast path is semantics-neutral.
-_ENABLED = os.environ.get("REPRO_VECTOR", "1").lower() not in ("0", "off", "false")
-
-
-def set_vector_enabled(enabled: bool) -> bool:
-    """Toggle the vector fast path; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
+#: Always on; read only by ``perfbench/bench.py``, which prints it per run.
+_ENABLED = True
 
 #: Dictionary-encoded columns with at most this many distinct values get a
 #: one-byte code vector (code+1; NULL=0), unlocking the ``bytes.translate``
 #: group-by kernel. 254 keeps code 255 free and 0 reserved for NULL.
 MAX_BYTE_VOCAB = 254
-
-
-class VectorResult(NamedTuple):
-    """What a fused kernel hands back to ``columnar._run_core``.
-
-    A plain bundle (not a ``ColumnarTable``) so this module never imports
-    :mod:`repro.relational.columnar`, which imports it.
-    """
-
-    name: str
-    schema: Schema
-    columns: list[Sequence[Any]]
-    provenance: MaskProvenance
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +185,8 @@ def _build_vector(col: Sequence[Any], ctype: ColumnType) -> tuple[str, Any]:
     return "obj", list(col)
 
 
-# Vectorized base tables are cached per (identity, data_version) exactly like
-# columnar's transpose cache; values are token-checked so a mutated table
-# re-encodes.
+# Vectorized base tables are cached per (identity, data_version) and reused
+# across executions; values are token-checked so a mutated table re-encodes.
 _vectorized: "weakref.WeakKeyDictionary[Table, tuple[int, int, VectorTable]]"
 _vectorized = weakref.WeakKeyDictionary()
 
@@ -426,7 +394,7 @@ class _Frame:
 def _probe_inner(
     left_keys: list[Sequence[Any]], right_keys: list[Sequence[Any]]
 ) -> tuple[list[int] | None, list[int]]:
-    """Hash-probe for an INNER join; same output order as ``columnar._probe``
+    """Hash-probe for an INNER join; same output order as ``algebra.join``
     (left order, right-insertion order per key; NULL keys never match).
 
     ``out_li`` is ``None`` when every left row matches exactly one right row
@@ -491,7 +459,7 @@ _SELECTOR_FOLD = bytes([0]) + bytes([1]) * 255
 
 def _where_selector(frame: _Frame, predicate: Expr) -> bytes:
     """Validate + evaluate WHERE into a 0/1 selector (reference polarity:
-    UNKNOWN and falsy exclude). Error messages match ``columnar``."""
+    UNKNOWN and falsy exclude). Error messages match ``algebra.select``."""
     missing = predicate.columns() - set(frame.schema.names)
     if missing:
         raise QueryError(
@@ -509,7 +477,18 @@ def _where_selector(frame: _Frame, predicate: Expr) -> bytes:
         return bytes(map(bool, flags))
 
 
-def _project_vec(frame: _Frame, select: list[Any]) -> VectorResult:
+def _result(
+    name: str,
+    schema: Schema,
+    columns: list[Sequence[Any]],
+    provenance: MaskProvenance,
+) -> Table:
+    """The derived table of a fused core, carrying its lazy provenance."""
+    rows = list(zip(*columns)) if columns else [()] * len(provenance)
+    return Table.derived(name, schema, rows, provenance)
+
+
+def _project_vec(frame: _Frame, select: list[Any]) -> Table:
     """Fused terminal projection over the current frame."""
     schema, extractors = project_plan(frame.schema, select)
     needed: set[str] = set()
@@ -534,10 +513,10 @@ def _project_vec(frame: _Frame, select: list[Any]) -> VectorResult:
     provenance = MaskProvenance(
         frame.n, frame.leaves(), frame.contributions(), tuple(origins)
     )
-    return VectorResult(frame.name, schema, out_columns, provenance)
+    return _result(frame.name, schema, out_columns, provenance)
 
 
-def _aggregate_vec(frame: _Frame, query: Query) -> VectorResult:
+def _aggregate_vec(frame: _Frame, query: Query) -> Table:
     """Fused GROUP BY / aggregation (plus HAVING and SELECT-over-aggregate).
 
     Group membership is computed once; per-leaf contributing rows become
@@ -675,45 +654,42 @@ def _aggregate_vec(frame: _Frame, query: Query) -> VectorResult:
         leaf_masks = [list(compress(masks, flags)) for masks in leaf_masks]
         n_groups = len(out_rows)
 
-    # -- SELECT over the aggregate output
-    if query.select:
-        sp_schema, extractors = project_plan(schema_out, list(query.select))
-        if out_rows:
-            cur_cols = list(zip(*out_rows))
-        else:
-            cur_cols = [() for _ in schema_out.names]
-        env = dict(zip(schema_out.names, cur_cols))
-        out_columns: list[Sequence[Any]] = []
-        origins: list[tuple[str, tuple[tuple[int, str], ...]]] = []
-        for alias, expr, is_copy in extractors:
-            if is_copy:
-                assert isinstance(expr, Col)
-                out_columns.append(list(env[expr.name]))
-                origins.append((alias, agg_origins[expr.name]))
-            else:
-                out_columns.append(expr.evaluate_batch(env, n_groups))
-                pairs = dict.fromkeys(
-                    pair
-                    for c in expr.columns()
-                    for pair in agg_origins[c]
-                )
-                origins.append((alias, tuple(pairs)))
-        schema_final = sp_schema
-    else:
-        if out_rows:
-            out_columns = [list(col) for col in zip(*out_rows)]
-        else:
-            out_columns = [[] for _ in schema_out.names]
-        origins = [(a, agg_origins[a]) for a in schema_out.names]
-        schema_final = schema_out
-
     contribs = tuple(
         LeafContribution.from_masks(masks) for masks in leaf_masks
     )
+    if not query.select:
+        origins = [(a, agg_origins[a]) for a in schema_out.names]
+        provenance = MaskProvenance(
+            n_groups, frame.leaves(), contribs, tuple(origins)
+        )
+        return Table.derived(frame.name, schema_out, out_rows, provenance)
+
+    # -- SELECT over the aggregate output
+    sp_schema, extractors = project_plan(schema_out, list(query.select))
+    if out_rows:
+        cur_cols = list(zip(*out_rows))
+    else:
+        cur_cols = [() for _ in schema_out.names]
+    env = dict(zip(schema_out.names, cur_cols))
+    out_columns: list[Sequence[Any]] = []
+    origins = []
+    for alias, expr, is_copy in extractors:
+        if is_copy:
+            assert isinstance(expr, Col)
+            out_columns.append(env[expr.name])
+            origins.append((alias, agg_origins[expr.name]))
+        else:
+            out_columns.append(expr.evaluate_batch(env, n_groups))
+            pairs = dict.fromkeys(
+                pair
+                for c in expr.columns()
+                for pair in agg_origins[c]
+            )
+            origins.append((alias, tuple(pairs)))
     provenance = MaskProvenance(
         n_groups, frame.leaves(), contribs, tuple(origins)
     )
-    return VectorResult(frame.name, schema_final, out_columns, provenance)
+    return _result(frame.name, sp_schema, out_columns, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -723,17 +699,17 @@ def _aggregate_vec(frame: _Frame, query: Query) -> VectorResult:
 
 def try_vector_core(
     query: Query, catalog: Catalog, depth: int = 0
-) -> VectorResult | None:
+) -> Table | None:
     """Execute one SELECT core on the vector fast path, or return ``None``.
 
-    Called by ``columnar._run_core`` after select-consistency validation;
+    Returns a derived table whose provenance is a lazy
+    :class:`MaskProvenance`. Called by the production executor
+    (:mod:`repro.relational.columnar`) after select-consistency validation;
     set operations, ORDER BY, LIMIT, and DISTINCT stay with the caller.
     ``depth`` is the caller's view-nesting depth, so inlined view chains
     hit the resolver's nesting limit at the same level.
     """
     # -- shape eligibility (cheap, no side effects)
-    if not _ENABLED:
-        return None
     if query.having is not None and not query.is_aggregate:
         return None  # the reference raises mid-pipeline; let it.
     if not query.select and not query.is_aggregate:

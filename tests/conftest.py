@@ -54,16 +54,6 @@ def paper_catalog(prescriptions, policies, familydoctor, drugcost):
     return catalog
 
 
-@pytest.fixture
-def vector_on():
-    """Run with the vector tier on, whatever ``REPRO_VECTOR`` says."""
-    from repro.relational.vector import set_vector_enabled
-
-    prev = set_vector_enabled(True)
-    yield
-    set_vector_enabled(prev)
-
-
 @pytest.fixture(scope="session")
 def scenario():
     """One shared end-to-end scenario (expensive; build once per session)."""

@@ -115,7 +115,6 @@ class TestCommands:
         assert "fused vector kernels" in out
         data = json.loads((tmp_path / "bench.json").read_text())
         assert data["smoke"] is True
-        assert data["summary"]["max_speedup_at_largest"] > 1.0
         assert data["summary"]["max_fused_speedup_at_largest"] > 1.0
         assert data["containment"]["speedup"] > 1.0
         assert all(g["passed"] for g in data["gates"])

@@ -1,12 +1,13 @@
-"""Differential tests: the columnar batch executor against the row-store
+"""Differential tests: the production executor against the row-store
 reference engine.
 
 The row engine (:func:`repro.relational.execute_row`) is the semantics
 oracle. For hypothesis-generated random tables (NULL-heavy) and random query
 trees — FROM a base table or a view over it, joins (inner and left outer),
 three-valued WHERE logic, grouping and aggregates, HAVING, computed
-projections, DISTINCT, ORDER BY, LIMIT — the columnar path (with plan
-caching disabled, so every run actually executes) must produce:
+projections, DISTINCT, ORDER BY, LIMIT — the columnar path (fused vector
+cores, declined cores on the row operators; plan caching disabled, so every
+run actually executes) must produce:
 
 * the same output schema,
 * the same rows in the same order (which implies bag equality), and
@@ -38,7 +39,7 @@ from repro.relational import (
 )
 from repro.relational.expressions import And, Arith, Col, Comparison, IsNull, Lit, Not, Or
 from repro.relational.types import ColumnType
-from repro.relational.vector import set_vector_enabled, try_vector_core
+from repro.relational.vector import try_vector_core
 
 UNCACHED = ExecutionConfig(mode="columnar", use_plan_cache=False)
 
@@ -278,14 +279,11 @@ def test_columnar_matches_row_reference(t_rows, d_rows, tree):
         catalog.add_view(view)
     assert_equivalent(query, catalog)
 
-    # The planner's decision, independent of the REPRO_VECTOR kill switch.
-    prev = set_vector_enabled(True)
+    # The planner's decision: a declined core runs on the row operators.
     try:
         engaged = try_vector_core(query, catalog) is not None
     except Exception:  # noqa: BLE001 - error parity is checked above
         engaged = None
-    finally:
-        set_vector_enabled(prev)
     if not inlinable:
         assert engaged is False
     elif all(c.how == "inner" for c in query.joins) and (
@@ -429,6 +427,42 @@ def test_bare_select_star_returns_base_contents():
     assert list(got.rows) == list(ref.rows)
     assert list(got.provenance) == list(ref.provenance)
     assert got.schema == ref.schema
+
+
+@pytest.mark.parametrize(
+    "run",
+    [execute_row, lambda q, c, **kw: execute(q, c, config=UNCACHED, **kw)],
+    ids=["row", "columnar"],
+)
+def test_bare_scan_result_is_a_copy_of_the_base_table(run):
+    cat = build_catalog([("a", 1, 1), ("b", 2, 2)], [])
+    base = cat.table("t")
+    out = run(Query.from_("t"), cat, name="r")
+    assert out is not base
+    assert (base.name, out.name) == ("t", "r")
+    assert out.provider == base.provider
+    out.insert(("c", 3, 3))
+    assert len(base.rows) == 2
+
+
+def test_star_view_leaves_base_names_alone():
+    """Running a ``SELECT *`` view leaves its base table's name alone: a
+    later join's collision qualifiers are built from it."""
+    schema = make_schema(("k", ColumnType.INT), ("v", ColumnType.INT))
+    cat = Catalog()
+    cat.add_table(Table.from_rows("t", schema, [(1, 10), (2, 20)], provider="p"))
+    cat.add_table(Table.from_rows("d", schema, [(1, 5), (3, 7)], provider="q"))
+    cat.add_view(View("star", parse_query("SELECT * FROM t")))
+    join = parse_query("SELECT t.v AS tv, d.v AS dv FROM t JOIN d ON k = k")
+    for _ in range(2):
+        for query in (parse_query("SELECT * FROM star"), join):
+            ref = execute_row(query, cat)
+            got = execute(query, cat, config=UNCACHED)
+            assert got.schema.names == ref.schema.names
+            assert list(got.rows) == list(ref.rows)
+            assert list(got.provenance) == list(ref.provenance)
+    assert cat.table("t").name == "t"
+    assert list(execute_row(join, cat).rows) == [(10, 5)]
 
 
 @pytest.mark.parametrize(

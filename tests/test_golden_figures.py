@@ -11,12 +11,15 @@ figures say, this test fails before the stale transcript ships.
 
 Regenerating after an intentional change::
 
-    PYTHONPATH=src python benchmarks/run_all.py --json > results/RESULTS.txt
+    PYTHONPATH=src python benchmarks/run_all.py --json fig1 fig2 fig3 fig4 \
+        fig5 abl-mr abl-cont abl-anon abl-pbac abl-neg abl-int engine \
+        > results/RESULTS.txt
     PYTHONPATH=src python tests/test_golden_figures.py --regen
 
-The first command reruns every figure (≈1 minute) and rewrites
+The first command reruns every figure and the full-size engine bench
+(≈3.5 minutes, most of it the 1M-row row reference) and rewrites
 ``BENCH_engine.json``; the second refreshes the normalized fixture at
-``tests/golden/RESULTS.normalized.txt``. Commit both.
+``tests/golden/RESULTS.normalized.txt``. Commit all three.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ def normalize(text: str) -> str:
 
 def test_results_transcript_matches_golden():
     assert RESULTS.exists(), (
-        "results/RESULTS.txt is missing; regenerate with "
-        "`PYTHONPATH=src python benchmarks/run_all.py --json > results/RESULTS.txt`"
+        "results/RESULTS.txt is missing; regenerate it with the first "
+        "command in this module's docstring"
     )
     actual = normalize(RESULTS.read_text())
     expected = GOLDEN.read_text()
@@ -62,7 +65,7 @@ def test_results_transcript_matches_golden():
 def test_transcript_pins_engine_acceptance_lines():
     """The engine section's qualitative claims survive normalization."""
     normalized = normalize(RESULTS.read_text())
-    assert "Row-store reference vs columnar batch executor" in normalized
+    assert "Row reference vs fused vector kernels" in normalized
     assert "over the row reference." in normalized
     assert "via proof memoization" in normalized
 

@@ -804,30 +804,21 @@ def _register_synthetics(statement) -> Catalog:
 @given(sql=extended_fragment_sql())
 @settings(max_examples=150, deadline=None)
 def test_extended_fragment_engines_agree_and_lineage_covers(sql):
-    """Differential property over the grown fragment: row == columnar ==
-    vector (values *and* provenance) on the same trees, and static
-    lineage over-approximates runtime where-provenance — scalar-subquery
-    cross joins and outer-join null padding included."""
+    """Differential property over the grown fragment: row == columnar
+    (values *and* provenance) on the same trees, and static lineage
+    over-approximates runtime where-provenance — scalar-subquery cross
+    joins and outer-join null padding included."""
     from repro.relational import execute_columnar, execute_row
-    from repro.relational import vector as vector_mod
 
     (statement,) = parse_all(sql)
     catalog = _register_synthetics(statement)
     query = statement.query
 
     row = execute_row(query, catalog)
-    previous = vector_mod.set_vector_enabled(False)
-    try:
-        columnar = execute_columnar(query, catalog)
-        vector_mod.set_vector_enabled(True)
-        vectorized = execute_columnar(query, catalog)
-    finally:
-        vector_mod.set_vector_enabled(previous)
-
-    for engine, got in (("columnar", columnar), ("vector", vectorized)):
-        assert got.schema == row.schema, (engine, sql)
-        assert list(got.rows) == list(row.rows), (engine, sql)
-        assert list(got.provenance) == list(row.provenance), (engine, sql)
+    columnar = execute_columnar(query, catalog)
+    assert columnar.schema == row.schema, sql
+    assert list(columnar.rows) == list(row.rows), sql
+    assert list(columnar.provenance) == list(row.provenance), sql
 
     static = column_flows(query, catalog)
     assert list(static.names()) == list(row.schema.names), sql

@@ -165,3 +165,42 @@ class TestSetOperations:
         )
         with pytest.raises(QueryError):
             execute(q, paper_catalog)
+
+
+class TestEngineModeEnvironment:
+    """``REPRO_ENGINE_MODE`` picks the process default at import."""
+
+    @staticmethod
+    def import_with(value):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "REPRO_ENGINE_MODE": value}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "from repro.relational import get_default_config; "
+            "print(get_default_config().mode)"
+        )
+        return subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+
+    @pytest.mark.parametrize(
+        "value,mode", [("row", "row"), (" COLUMNAR ", "columnar"), ("", "columnar")]
+    )
+    def test_valid_or_empty_values_select_a_mode(self, value, mode):
+        done = self.import_with(value)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == mode
+
+    def test_unknown_value_fails_closed(self):
+        done = self.import_with("colunmar")
+        assert done.returncode != 0
+        assert "ValueError" in done.stderr
+        assert "'colunmar'" in done.stderr
+        assert "('columnar', 'row')" in done.stderr

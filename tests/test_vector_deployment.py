@@ -7,6 +7,8 @@ delivery runs must execute fused with zero declines, with values and
 provenance equal to the row reference, before and after each mutation
 kind the delivery daemon applies. On the plan-cached path the result's
 provenance is decoded once, before it is cached, and every hit shares it.
+A core the planner declines runs on the row operators, but the views it
+reads still resolve through the planner and run fused.
 """
 
 from __future__ import annotations
@@ -15,7 +17,18 @@ import pytest
 
 import repro.relational.columnar as columnar
 from repro.provenance import MaskProvenance
-from repro.relational import ExecutionConfig, PlanCache, execute, execute_row
+from repro.relational import (
+    Catalog,
+    ExecutionConfig,
+    PlanCache,
+    Table,
+    View,
+    execute,
+    execute_row,
+    make_schema,
+    parse_query,
+)
+from repro.relational.types import ColumnType
 from repro.service.state import MUTATION_KINDS, MutationSpec, apply_mutation_to
 from repro.simulation import build_scenario
 
@@ -38,6 +51,21 @@ def declines(monkeypatch):
     return declined
 
 
+@pytest.fixture
+def planner_calls(monkeypatch):
+    """Every ``try_vector_core`` call at the columnar seam: (query, engaged)."""
+    calls: list = []
+    planner = columnar.try_vector_core
+
+    def counting(query, catalog, depth=0):
+        result = planner(query, catalog, depth)
+        calls.append((query, result is not None))
+        return result
+
+    monkeypatch.setattr(columnar, "try_vector_core", counting)
+    return calls
+
+
 def _delivery_queries(scenario) -> list:
     """Each report, the query its enforcer runs, and each meta-report view."""
     queries = []
@@ -55,9 +83,7 @@ def _delivery_queries(scenario) -> list:
     return list(dict.fromkeys(queries))
 
 
-def test_deployment_queries_run_fused_and_match_the_row_reference(
-    vector_on, declines
-):
+def test_deployment_queries_run_fused_and_match_the_row_reference(declines):
     scenario = build_scenario()
     catalog = scenario.bi_catalog
     checked = set()  # (query, state token): equal pairs give equal results
@@ -81,7 +107,7 @@ def test_deployment_queries_run_fused_and_match_the_row_reference(
         assert declines == [], (kind, [q.describe() for q in declines])
 
 
-def test_cached_vector_results_are_decoded_once_and_shared(vector_on):
+def test_cached_vector_results_are_decoded_once_and_shared():
     scenario = build_scenario()
     catalog = scenario.bi_catalog
     config = ExecutionConfig(mode="columnar", plan_cache=PlanCache())
@@ -98,3 +124,28 @@ def test_cached_vector_results_are_decoded_once_and_shared(vector_on):
         assert all(a is b for a, b in zip(cold.provenance, warm.provenance))
         assert warm.provenance == list(execute_row(query, catalog).provenance)
     assert config.plan_cache.stats.hits == 3
+
+
+def test_declined_core_still_runs_its_view_body_fused(planner_calls):
+    """A LEFT JOIN core declines to the row operators; the inlinable view in
+    its FROM position resolves through the planner and runs fused."""
+    catalog = Catalog()
+    fact = make_schema(("k", ColumnType.INT), ("value", ColumnType.INT))
+    dim = make_schema(("k", ColumnType.INT), ("label", ColumnType.STRING))
+    rows = [(i % 7, (i * 37) % 100) for i in range(40)]
+    catalog.add_table(Table.from_rows("t", fact, rows, provider="p"))
+    labels = [(i, f"label{i}") for i in range(4)]  # keys 4..6 miss
+    catalog.add_table(Table.from_rows("d", dim, labels, provider="q"))
+    catalog.add_view(View("v", parse_query("SELECT k, value FROM t WHERE value > 20")))
+    query = parse_query(
+        "SELECT v.k AS k, value, label FROM v LEFT JOIN d ON k = k"
+    )
+
+    got = execute(query, catalog, config=UNCACHED)
+
+    assert planner_calls == [(query, False), (catalog.view("v").query, True)]
+    ref = execute_row(query, catalog)
+    assert any(label is None for _, _, label in ref.rows)
+    assert got.schema == ref.schema
+    assert list(got.rows) == list(ref.rows)
+    assert list(got.provenance) == list(ref.provenance)

@@ -9,10 +9,10 @@ default). This module pins the vector layer's own contracts:
   inverse encodings of ordinal sets (property-based);
 * ``MaskProvenance`` decodes to exactly the reference engine's provenance;
 * the fast path actually engages on eligible plans (lazy provenance marker
-  on the result) and steps aside when disabled via ``set_vector_enabled``
-  or the ``REPRO_VECTOR`` environment contract;
+  on the result);
 * views in FROM position are inlined at plan time (recursively, within the
-  resolver's nesting limit) and every other view shape declines.
+  resolver's nesting limit) and every other view shape declines to the row
+  engine's operators.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.relational import (
     parse_query,
 )
 from repro.relational.types import ColumnType
-from repro.relational.vector import set_vector_enabled, try_vector_core
+from repro.relational.vector import try_vector_core
 
 UNCACHED = ExecutionConfig(mode="columnar", use_plan_cache=False)
 
@@ -122,7 +122,7 @@ def test_vector_path_matches_row_reference_including_provenance():
         assert _normalized(fused) == _normalized(reference), sql
 
 
-def test_fast_path_engages_and_yields_lazy_provenance(vector_on):
+def test_fast_path_engages_and_yields_lazy_provenance():
     cat = _catalog()
     for sql in QUERIES:
         query = parse_query(sql)
@@ -131,24 +131,9 @@ def test_fast_path_engages_and_yields_lazy_provenance(vector_on):
         assert getattr(out.provenance, "lazy_provenance", False), sql
 
 
-def test_set_vector_enabled_toggles_the_fast_path():
-    cat = _catalog()
-    query = parse_query(QUERIES[0])
-    prev = set_vector_enabled(False)
-    try:
-        assert try_vector_core(query, cat) is None
-        out = execute(query, cat, config=UNCACHED)
-        # Object-columnar tier: provenance is an eagerly built list...
-        assert isinstance(out.provenance, list)
-    finally:
-        set_vector_enabled(prev)
-    # ...and results agree across tiers regardless of the toggle.
-    assert _normalized(out) == _normalized(execute(query, cat, config=UNCACHED))
-
-
 def test_ineligible_shapes_fall_back_cleanly():
     cat = _catalog()
-    # LEFT joins stay with the object-columnar resolver.
+    # LEFT joins decline to the row engine's operators.
     query = parse_query(
         "SELECT category, label FROM t LEFT JOIN d ON k = k"
     )
@@ -185,7 +170,7 @@ def _view_catalog() -> Catalog:
     return cat
 
 
-def test_view_chains_inline_onto_base_leaves(vector_on):
+def test_view_chains_inline_onto_base_leaves():
     cat = _view_catalog()
     for sql in (
         "SELECT cat, v FROM v2 WHERE v < 90",
@@ -206,7 +191,7 @@ def test_view_chains_inline_onto_base_leaves(vector_on):
         ), sql
 
 
-def test_inlined_view_qualifies_join_collisions_by_view_name(vector_on):
+def test_inlined_view_qualifies_join_collisions_by_view_name():
     cat = _catalog()
     cat.add_view(View("v", parse_query("SELECT k, value FROM t WHERE value > 50")))
     query = Query.from_("v").join("d", [("k", "k")]).project("v.k", "d.k", "label")
@@ -233,7 +218,7 @@ def test_inlined_view_qualifies_join_collisions_by_view_name(vector_on):
         "SELECT t.k AS k, value FROM t JOIN w ON k = k",  # a view on the right
     ],
 )
-def test_ineligible_view_bodies_decline(vector_on, body):
+def test_ineligible_view_bodies_decline(body):
     cat = _catalog()
     cat.add_view(View("w", parse_query("SELECT k AS k FROM d")))
     cat.add_view(View("v", parse_query(body) if isinstance(body, str) else body))
@@ -244,13 +229,13 @@ def test_ineligible_view_bodies_decline(vector_on, body):
     )
 
 
-def test_view_on_the_join_right_side_declines(vector_on):
+def test_view_on_the_join_right_side_declines():
     cat = _view_catalog()
     query = parse_query("SELECT label, cat FROM d JOIN v2 ON k = key")
     assert try_vector_core(query, cat) is None
 
 
-def test_inlined_chains_count_against_the_nesting_limit(vector_on):
+def test_inlined_chains_count_against_the_nesting_limit():
     cat = _catalog()
     cat.add_view(View("c0", parse_query("SELECT k, value FROM t")))
     for i in range(1, 34):
