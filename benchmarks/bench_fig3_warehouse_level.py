@@ -76,10 +76,7 @@ def run_fig3(data) -> dict:
     def combines_pair(catalog: Catalog) -> int:
         count = 0
         for name in catalog.table_names():
-            footprint = {
-                f"{rid.provider}/{rid.table}"
-                for rid in catalog.table(name).all_lineage()
-            }
+            footprint = catalog.table(name).footprint()
             if PROHIBITION.left in footprint and PROHIBITION.right in footprint:
                 count += 1
         return count

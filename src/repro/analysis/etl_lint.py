@@ -130,10 +130,7 @@ def lint_catalog_lineage(
     if not prohibited_pairs:
         return out
     for name in catalog.table_names():
-        table = catalog.table(name)
-        footprint = frozenset(
-            f"{rid.provider}/{rid.table}" for rid in table.all_lineage()
-        )
+        footprint = catalog.table(name).footprint()
         for pair in prohibited_pairs:
             if pair <= footprint:
                 out.append(

@@ -106,15 +106,8 @@ def enforce_l_diversity(
             keep.extend(members)
             kept_classes += 1
     keep.sort()
-    out = Table.derived(
-        table.name,
-        table.schema,
-        [table.rows[i] for i in keep],
-        [table.provenance[i] for i in keep],
-        provider=table.provider,
-    )
     return AnonymizationResult(
-        table=out,
+        table=table.take(keep),
         k=result.k,
         quasi_identifiers=result.quasi_identifiers,
         suppressed_rows=result.suppressed_rows + (len(table) - len(keep)),

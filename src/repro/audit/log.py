@@ -109,14 +109,7 @@ class AuditLog:
             )
         else:
             min_contributors = 0
-        footprint = tuple(
-            sorted(
-                {
-                    f"{rid.provider}/{rid.table}"
-                    for rid in table.all_lineage()
-                }
-            )
-        )
+        footprint = tuple(sorted(table.footprint()))
         trace_id = TRACER.current_trace_id() or "" if TRACER.active() else ""
         with self._lock:
             record = DisclosureRecord(

@@ -120,11 +120,4 @@ def purge_expired(
         )
     }
     keep = [i for i in range(len(table)) if i not in expired]
-    purged = Table.derived(
-        table.name,
-        table.schema,
-        [table.rows[i] for i in keep],
-        [table.provenance[i] for i in keep],
-        provider=table.provider,
-    )
-    return purged, len(expired)
+    return table.take(keep), len(expired)

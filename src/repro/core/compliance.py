@@ -100,7 +100,6 @@ class ComplianceChecker:
     catalog: Catalog
     metareports: MetaReportSet
     source_identity: dict[str, frozenset[str]] = field(default_factory=dict)
-    use_cache: bool = True
     _verdicts: LRUCache = field(
         default_factory=lambda: LRUCache(maxsize=512), repr=False, compare=False
     )
@@ -110,13 +109,10 @@ class ComplianceChecker:
             self.source_identity = self._compute_source_identity()
 
     def _compute_source_identity(self) -> dict[str, frozenset[str]]:
-        mapping: dict[str, frozenset[str]] = {}
-        for name in self.catalog.table_names():
-            table = self.catalog.table(name)
-            mapping[name] = frozenset(
-                f"{rid.provider}/{rid.table}" for rid in table.all_lineage()
-            )
-        return mapping
+        return {
+            name: self.catalog.table(name).footprint()
+            for name in self.catalog.table_names()
+        }
 
     def source_footprint(self, report: ReportDefinition) -> frozenset[str]:
         """``provider/table`` identities a report's data descends from."""
@@ -209,8 +205,6 @@ class ComplianceChecker:
             instrument.record_decision(level, "obligation", obligation.kind)
 
     def _check_report_memoized(self, report: ReportDefinition) -> ComplianceVerdict:
-        if not self.use_cache:
-            return self._check_report_uncached(report)
         # catalog.uid, not id(): uids are never recycled, so a checker
         # rebound to a new catalog can't collide with a dead one's entries.
         key = (

@@ -55,7 +55,6 @@ __all__ = [
     "NotConjunctive",
     "proof_cache_stats",
     "clear_proof_caches",
-    "set_proof_caching",
 ]
 
 
@@ -78,7 +77,6 @@ class NotConjunctive(QueryError):
 _PROOF_CACHE_SIZE = 4096
 _derivability_cache = LRUCache(maxsize=_PROOF_CACHE_SIZE)
 _containment_cache = LRUCache(maxsize=_PROOF_CACHE_SIZE)
-_caching_enabled = True
 _hooked_catalogs: set[int] = set()
 _hook_lock = threading.Lock()
 
@@ -95,18 +93,6 @@ def _hook_catalog(catalog: Catalog) -> None:
             return
         _hooked_catalogs.add(catalog.uid)
     catalog.add_mutation_hook(_on_catalog_mutation)
-
-
-def set_proof_caching(enabled: bool) -> bool:
-    """Toggle proof memoization (e.g. for cold-path benchmarks); returns the
-    previous setting. Disabling also drops all cached proofs."""
-    global _caching_enabled
-    previous = _caching_enabled
-    _caching_enabled = enabled
-    if not enabled:
-        _derivability_cache.clear()
-        _containment_cache.clear()
-    return previous
 
 
 def proof_cache_stats() -> dict[str, dict[str, Any]]:
@@ -448,10 +434,6 @@ def check_derivability(
     Results are memoized per catalog DDL generation (the proof never reads
     row data); see :func:`proof_cache_stats`.
     """
-    if not _caching_enabled:
-        return _check_derivability_uncached(
-            report_query, metareport_name, metareport_query, catalog
-        )
     key = (
         report_query.fingerprint(),
         metareport_name,
@@ -791,8 +773,6 @@ def is_contained(q1: Query, q2: Query, catalog: Catalog) -> bool:
     Results (including ``NotConjunctive`` outcomes) are memoized per catalog
     DDL generation; see :func:`proof_cache_stats`.
     """
-    if not _caching_enabled:
-        return _is_contained_uncached(q1, q2, catalog)
     key = (q1.fingerprint(), q2.fingerprint(), catalog.uid, catalog.ddl_version)
     token = _containment_cache.fill_token()
     cached = _containment_cache.get(key)

@@ -25,6 +25,7 @@ from repro.provenance.graph import ProvenanceGraph
 from repro.provenance.where import where_of_cell
 from repro.relational.catalog import Catalog
 from repro.relational.engine import execute
+from repro.relational.table import relation_identity
 
 __all__ = ["ColumnCard", "ElicitationTool"]
 
@@ -70,7 +71,12 @@ class ElicitationTool:
                 refs = sorted(where_of_cell(table, 0, column))
                 origin_cells = tuple(str(ref) for ref in refs[:3])
                 origin_relations = tuple(
-                    sorted({f"{ref.row.provider}/{ref.row.table}" for ref in refs})
+                    sorted(
+                        {
+                            relation_identity(ref.row.provider, ref.row.table)
+                            for ref in refs
+                        }
+                    )
                 )
             cards.append(
                 ColumnCard(

@@ -41,7 +41,7 @@ from repro.policy.subjects import AccessContext
 from repro.policy.vpd import ColumnMask, VPDPolicy, VPDRule
 from repro.relational.catalog import Catalog
 from repro.relational.engine import execute
-from repro.relational.table import RowProvenance, Table
+from repro.relational.table import Table
 from repro.reports.definition import ReportDefinition, ReportInstance
 
 __all__ = ["ReportLevelEnforcer", "to_etl_registry", "to_vpd_policy"]
@@ -278,7 +278,7 @@ class ReportLevelEnforcer:
             if all(c.condition.evaluate(table.row_dict(i)) for c in row_conditions)
         ]
         dropped = len(table) - len(keep)
-        return _subset(table, keep), dropped
+        return table.take(keep), dropped
 
     def _blank_cells(self, table: Table, conditions: list) -> Table:
         """Blank cells failing suppress_cell conditions."""
@@ -319,7 +319,7 @@ class ReportLevelEnforcer:
         required = max(t.min_group_size for t in thresholds)
         keep = [i for i in range(len(table)) if len(table.lineage_of(i)) >= required]
         dropped = len(table) - len(keep)
-        return _subset(table, keep), dropped
+        return table.take(keep), dropped
 
     def _apply_anonymization(self, table: Table, requirements: list) -> Table:
         for requirement in requirements:
@@ -396,12 +396,6 @@ class ReportLevelEnforcer:
 
         keep = [c for c in table.schema.names if c not in hidden]
         return algebra.project(table, keep, name=table.name)
-
-
-def _subset(table: Table, keep: list[int]) -> Table:
-    rows = [table.rows[i] for i in keep]
-    provs: list[RowProvenance] = [table.provenance[i] for i in keep]
-    return Table.derived(table.name, table.schema, rows, provs, provider=table.provider)
 
 
 # ---------------------------------------------------------------------------

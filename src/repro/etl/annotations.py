@@ -42,13 +42,6 @@ class EtlViolation:
         return f"[{self.constraint}] {self.operator}: {self.message}"
 
 
-def _footprint(table: Table) -> frozenset[str]:
-    """The ``provider/table`` identities in a table's base lineage."""
-    return frozenset(
-        f"{row_id.provider}/{row_id.table}" for row_id in table.all_lineage()
-    )
-
-
 class EtlConstraint(abc.ABC):
     """Base class for ETL-level PLA constraints."""
 
@@ -91,7 +84,7 @@ class JoinProhibition(EtlConstraint):
     ) -> EtlViolation | None:
         if op.kind not in self._COMBINING_KINDS or len(inputs) < 2:
             return None
-        footprints = [_footprint(t) for t in inputs]
+        footprints = [t.footprint() for t in inputs]
         pair = {self.left, self.right}
         for i, fp_a in enumerate(footprints):
             for fp_b in footprints[i + 1 :]:
@@ -131,7 +124,7 @@ class OperationRestriction(EtlConstraint):
     ) -> EtlViolation | None:
         if op.kind not in self.forbidden_kinds:
             return None
-        if any(self.relation in _footprint(t) for t in inputs):
+        if any(self.relation in t.footprint() for t in inputs):
             return EtlViolation(
                 operator=op.name,
                 constraint=self.name,
@@ -160,8 +153,8 @@ class IntegrationProhibition(EtlConstraint):
         if not isinstance(op, IntegrateOp) or len(inputs) < 2:
             return None
         target, reference = inputs[0], inputs[1]
-        ref_owners = {rid.provider for rid in reference.all_lineage()}
-        target_owners = {rid.provider for rid in target.all_lineage()}
+        ref_owners = {fp.partition("/")[0] for fp in reference.footprint()}
+        target_owners = {fp.partition("/")[0] for fp in target.footprint()}
         if self.owner in ref_owners and (target_owners - {self.owner}):
             return EtlViolation(
                 operator=op.name,

@@ -26,7 +26,7 @@ from repro.obs import instrument
 from repro.obs.trace import TRACER
 from repro.provenance.graph import DatasetNode, ProvenanceGraph, TransformNode
 from repro.relational.catalog import Catalog
-from repro.relational.table import Table
+from repro.relational.table import Table, relation_identity
 from repro.resilience.retry import Deadline
 from repro.resilience.runtime import ResiliencePolicy, default_policy
 
@@ -44,14 +44,6 @@ class FlowFault:
 
     def __str__(self) -> str:
         return f"{self.op} [{self.target}] {self.kind}: {self.detail}"
-
-
-def _parse_identity(identity: str):
-    """A symbolic RowId standing for one base relation in static checks."""
-    from repro.relational.table import RowId
-
-    provider, _, table = identity.partition("/")
-    return RowId(provider, table, 0)
 
 
 @dataclass
@@ -127,18 +119,14 @@ class EtlFlow:
         if catalog is not None:
             for name in catalog.table_names():
                 table = catalog.table(name)
-                runtime = {
-                    f"{rid.provider}/{rid.table}" for rid in table.all_lineage()
-                }
-                footprints[name] = frozenset(runtime or {f"{table.provider}/{name}"})
+                footprints[name] = table.footprint() or frozenset(
+                    [relation_identity(table.provider, name)]
+                )
         for op in self.operators:
             if isinstance(op, ExtractOp):
                 table = op._input_table()
-                runtime = {
-                    f"{rid.provider}/{rid.table}" for rid in table.all_lineage()
-                }
-                footprints[op.output] = frozenset(
-                    runtime or {f"{table.provider}/{table.name}"}
+                footprints[op.output] = table.footprint() or frozenset(
+                    [relation_identity(table.provider, table.name)]
                 )
                 continue
             combined: set[str] = set()
@@ -158,7 +146,6 @@ class EtlFlow:
         the extract declarations.
         """
         from repro.relational.schema import Schema
-        from repro.relational.table import Table
 
         footprints = self.static_footprints(catalog)
         violations: list[EtlViolation] = []
@@ -167,9 +154,7 @@ class EtlFlow:
             """An empty stand-in whose lineage footprint is symbolic."""
             table = Table(name, Schema([]), provider="static")
             footprint = footprints.get(name, frozenset())
-            table.all_lineage = lambda fp=footprint: frozenset(  # type: ignore[method-assign]
-                _parse_identity(identity) for identity in fp
-            )
+            table.footprint = lambda: footprint  # type: ignore[method-assign]
             return table
 
         for op in self.operators:
@@ -235,7 +220,7 @@ class EtlFlow:
         """
         if isinstance(op, ExtractOp):
             table = op._input_table()
-            return f"{table.provider}/{table.name}"
+            return relation_identity(table.provider, table.name)
         return f"etl/{op.name}"
 
     def _run(

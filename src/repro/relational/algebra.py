@@ -53,14 +53,7 @@ def select(table: Table, predicate: Expr, *, name: str | None = None) -> Table:
     missing = predicate.columns() - set(table.schema.names)
     if missing:
         raise QueryError(f"predicate references unknown columns {sorted(missing)}")
-    rows: list[tuple[Any, ...]] = []
-    provs: list[RowProvenance] = []
-    names = table.schema.names
-    for row, prov in zip(table.rows, table.provenance):
-        if predicate.evaluate(dict(zip(names, row))):
-            rows.append(row)
-            provs.append(prov)
-    return Table.derived(name or table.name, table.schema, rows, provs)
+    return table.filter_rows(predicate.evaluate, name=name)
 
 
 def project_plan(
@@ -462,12 +455,7 @@ def order_by(
         rest = [i for i in indices if table.rows[i][idx] is not None]
         rest.sort(key=sort_key, reverse=descending)
         indices = rest + nones
-    return Table.derived(
-        name or table.name,
-        table.schema,
-        [table.rows[i] for i in indices],
-        [table.provenance[i] for i in indices],
-    )
+    return table.take(indices, name=name, provider="derived")
 
 
 def limit(table: Table, n: int, *, name: str | None = None) -> Table:

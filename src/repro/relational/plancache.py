@@ -18,9 +18,7 @@ Concurrency: the executor uses the **reservation** protocol
 :meth:`PlanCache.commit`) rather than lookup-then-store. A reservation
 captures the cache key *and* the invalidation generation before execution
 starts; committing re-checks the generation, so a result computed against
-pre-mutation state can never be stored under a post-mutation key. (The old
-lookup/store pair recomputed the key at store time — under concurrency a
-stale result could land under the fresh token.)
+pre-mutation state can never be stored under a post-mutation key.
 """
 
 from __future__ import annotations
@@ -143,35 +141,6 @@ class PlanCache:
             result.provider,
         )
         return self._cache.put_if(reservation.key, snap, reservation.token)
-
-    # -- legacy lookup/store protocol -----------------------------------------
-
-    def lookup(
-        self,
-        query: "Query",
-        catalog: "Catalog",
-        mode: str,
-        *,
-        name: str | None = None,
-    ) -> Table | None:
-        """A fresh :class:`Table` rebuilt from a cached snapshot, or ``None``.
-
-        Single-threaded convenience; concurrent callers should use the
-        reservation protocol so key capture and fill are race-free.
-        """
-        reservation = self.begin(query, catalog, mode)
-        if reservation is None:
-            return None
-        return self.fetch(reservation, name=name)
-
-    def store(
-        self, query: "Query", catalog: "Catalog", mode: str, result: Table
-    ) -> None:
-        """Snapshot ``result`` under the current catalog state (legacy path)."""
-        reservation = self.begin(query, catalog, mode)
-        if reservation is None:
-            return
-        self.commit(reservation, result)
 
     # -- invalidation -------------------------------------------------------
 

@@ -20,7 +20,23 @@ from repro.errors import SchemaError, TypeMismatchError
 from repro.relational.schema import Column, Schema
 from repro.relational.types import ColumnType, coerce_value
 
-__all__ = ["RowId", "CellRef", "RowProvenance", "Table", "EMPTY_LINEAGE"]
+__all__ = [
+    "RowId",
+    "CellRef",
+    "RowProvenance",
+    "Table",
+    "EMPTY_LINEAGE",
+    "relation_identity",
+]
+
+
+def relation_identity(provider: str, table: str) -> str:
+    """The ``provider/table`` string naming one base relation.
+
+    Audit footprints, source probing and ETL-level PLA constraints all
+    address relations by this string.
+    """
+    return f"{provider}/{table}"
 
 
 @dataclass(frozen=True, order=True)
@@ -241,11 +257,25 @@ class Table:
         return self.provenance[i].lineage
 
     def all_lineage(self) -> frozenset[RowId]:
-        """Union of the lineage of every row (the table's base footprint)."""
+        """Union of the lineage of every row (every contributing base row)."""
         out: set[RowId] = set()
         for prov in self.provenance:
             out.update(prov.lineage)
         return frozenset(out)
+
+    def footprint(self) -> frozenset[str]:
+        """The :func:`relation_identity` of every base relation in the lineage.
+
+        Lineage holds one ``RowId`` per contributing base row, but a table
+        draws on a handful of relations, so each distinct
+        ``(provider, table)`` pair is formatted once.
+        """
+        pairs = {
+            (rid.provider, rid.table)
+            for prov in self.provenance
+            for rid in prov.lineage
+        }
+        return frozenset(relation_identity(p, t) for p, t in pairs)
 
     def distinct_values(self, name: str) -> set[Any]:
         """Set of distinct non-NULL values in ``name``."""
@@ -253,16 +283,33 @@ class Table:
 
     # -- convenience ---------------------------------------------------------
 
+    def take(
+        self,
+        indices: Iterable[int],
+        *,
+        name: str | None = None,
+        provider: str | None = None,
+    ) -> "Table":
+        """The rows at ``indices``, in that order, with their provenance.
+
+        Indices may repeat or be empty. The name and provider default to
+        this table's.
+        """
+        indices = list(indices)
+        rows, provs = self.rows, self.provenance
+        out = Table(name or self.name, self.schema, provider=provider or self.provider)
+        out.rows = [rows[i] for i in indices]
+        out.provenance = [provs[i] for i in indices]
+        return out
+
     def filter_rows(self, keep: Callable[[dict[str, Any]], bool], *, name: str | None = None) -> "Table":
         """A derived table keeping rows where ``keep(row_dict)`` is true."""
-        rows: list[tuple[Any, ...]] = []
-        provs: list[RowProvenance] = []
         names = self.schema.names
-        for row, prov in zip(self.rows, self.provenance):
-            if keep(dict(zip(names, row))):
-                rows.append(row)
-                provs.append(prov)
-        return Table.derived(name or self.name, self.schema, rows, provs)
+        return self.take(
+            (i for i, row in enumerate(self.rows) if keep(dict(zip(names, row)))),
+            name=name,
+            provider="derived",
+        )
 
     def head(self, n: int = 5) -> list[dict[str, Any]]:
         """First ``n`` rows as dicts, for display."""

@@ -29,6 +29,7 @@ from repro.core.translation import ReportLevelEnforcer
 from repro.obs import instrument
 from repro.obs.trace import TRACER
 from repro.policy.subjects import AccessContext, SubjectRegistry
+from repro.relational.table import relation_identity
 from repro.reports.catalog import ReportCatalog
 from repro.reports.definition import ReportInstance
 from repro.resilience.runtime import (
@@ -144,14 +145,8 @@ class DeliveryService:
         res = self.resilience
         assert res is not None
         deadline = res.new_deadline()
-        # Unique (provider, table) pairs first — the lineage set has one
-        # entry per contributing row, the footprint only a handful.
-        pairs = {
-            (rid.provider, rid.table) for rid in instance.table.all_lineage()
-        }
-        footprint = sorted(f"{provider}/{table}" for provider, table in pairs)
         down: dict[str, Exception] = {}
-        for source in footprint:
+        for source in sorted(instance.table.footprint()):
             try:
                 res.check_source(source, deadline=deadline)
             except SourceUnavailableError as exc:
@@ -180,25 +175,19 @@ class DeliveryService:
         subset of the healthy delivery, each one untouched, so every PLA
         filter already applied to them still holds.
         """
-        from repro.relational.table import Table
-
         table = instance.table
-        rows, provs = [], []
-        for i, row in enumerate(table.rows):
-            lineage = {
-                f"{rid.provider}/{rid.table}" for rid in table.lineage_of(i)
-            }
-            if lineage & down:
-                continue
-            rows.append(row)
-            provs.append(table.provenance[i])
-        dropped = len(table) - len(rows)
-        degraded_table = Table.derived(
-            table.name, table.schema, rows, provs, provider=table.provider
-        )
+        keep = [
+            i
+            for i in range(len(table))
+            if not any(
+                relation_identity(rid.provider, rid.table) in down
+                for rid in table.lineage_of(i)
+            )
+        ]
+        dropped = len(table) - len(keep)
         return replace(
             instance,
-            table=degraded_table,
+            table=table.take(keep),
             suppressed_rows=instance.suppressed_rows + dropped,
             degraded=True,
             degraded_sources=tuple(sorted(down)),

@@ -112,11 +112,4 @@ class ReportEngine:
         suppressed = len(table) - len(keep)
         if not suppressed:
             return table, 0
-        filtered = Table.derived(
-            table.name,
-            table.schema,
-            [table.rows[i] for i in keep],
-            [table.provenance[i] for i in keep],
-            provider=table.provider,
-        )
-        return filtered, suppressed
+        return table.take(keep), suppressed

@@ -103,11 +103,4 @@ class CubeAuthorizer:
                 continue
             keep.append(i)
         suppressed = len(result) - len(keep)
-        published = Table.derived(
-            name,
-            result.schema,
-            [result.rows[i] for i in keep],
-            [result.provenance[i] for i in keep],
-            provider="warehouse",
-        )
-        return published, suppressed
+        return result.take(keep, name=name, provider="warehouse"), suppressed

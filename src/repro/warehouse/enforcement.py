@@ -171,11 +171,4 @@ class WarehouseEnforcer:
         suppressed = len(result) - len(keep)
         if not suppressed:
             return result, 0
-        filtered = Table.derived(
-            name,
-            result.schema,
-            [result.rows[i] for i in keep],
-            [result.provenance[i] for i in keep],
-            provider="warehouse",
-        )
-        return filtered, suppressed
+        return result.take(keep, name=name, provider="warehouse"), suppressed

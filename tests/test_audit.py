@@ -1,7 +1,11 @@
 """Tests for the disclosure log and the third-party auditor."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro import obs
 from repro.audit import AuditLog, Auditor, Severity
 from repro.core import (
     PLA,
@@ -15,10 +19,15 @@ from repro.core import (
     ReportLevelEnforcer,
 )
 from repro.anonymize import Pseudonymizer
+from repro.errors import ComplianceError
 from repro.policy import SubjectRegistry
 from repro.relational import Catalog, Query, Table, View, make_schema, parse_query
 from repro.relational.types import ColumnType
 from repro.reports import ReportCatalog, ReportDefinition, ReportEngine
+from repro.service.loadgen import ROLE_TO_USER
+from repro.simulation.scenario import build_scenario
+
+GOLDEN_LOG = Path(__file__).resolve().parent / "golden" / "disclosure_log.json"
 
 WIDE = ("patient", "drug", "disease", "cost")
 
@@ -241,3 +250,39 @@ class TestAuditor:
             for v in audit.violations
             if v.kind == "missing_obligation"
         )
+
+
+def test_scenario_disclosure_log_matches_golden():
+    """Every record of a full delivery sweep, byte for byte, and its chain.
+
+    Each workload report goes to each load-generator role's user with the
+    report's own purpose. Observability and source probing are off, so no
+    trace ID or degradation marker enters a payload; the golden pins the
+    footprints, contributor counts and obligations the audit trail records.
+    """
+    golden = json.loads(GOLDEN_LOG.read_text())
+    previous = obs.enabled()
+    obs.disable()
+    try:
+        scenario = build_scenario()
+        service = scenario.delivery_service()
+        service.resilience = None
+        for definition in scenario.workload:
+            for role in sorted(ROLE_TO_USER):
+                try:
+                    service.deliver(
+                        definition.name,
+                        user=ROLE_TO_USER[role],
+                        purpose=definition.purpose,
+                    )
+                except ComplianceError:
+                    pass
+    finally:
+        if previous:
+            obs.enable()
+    log = scenario.audit_log
+    assert log.verify_chain()
+    assert len(service.refusals) == golden["refusals"]
+    assert [
+        {"payload": r.payload(), "chain_hash": r.chain_hash} for r in log.records
+    ] == golden["records"]

@@ -30,7 +30,6 @@ from repro.core import (
     clear_proof_caches,
     is_contained,
     proof_cache_stats,
-    set_proof_caching,
 )
 from repro.relational import (
     Catalog,
@@ -260,18 +259,6 @@ class TestProofCaches:
         cat.add_view(View("x", parse_query("SELECT region FROM visits")))
         assert proof_cache_stats()["containment"]["entries"] < before
 
-    def test_caching_can_be_disabled(self):
-        cat = patient_catalog()
-        q1 = parse_query("SELECT region FROM visits WHERE cost > 20")
-        q2 = parse_query("SELECT region FROM visits")
-        previous = set_proof_caching(False)
-        try:
-            assert is_contained(q1, q2, cat) is True
-            assert is_contained(q1, q2, cat) is True
-            assert proof_cache_stats()["containment"]["entries"] == 0
-        finally:
-            set_proof_caching(previous)
-
     def test_fingerprint_is_memoized_and_stable(self):
         q = parse_query("SELECT region FROM visits WHERE cost > 15 AND cost < 35")
         assert q.fingerprint() is q.fingerprint()  # memoized object
@@ -323,13 +310,14 @@ class TestVerdictCache:
         assert warm == cold
         stats = checker.cache_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
-        uncached = ComplianceChecker(
+        # A fresh checker over emptied proof caches recomputes from scratch.
+        clear_proof_caches()
+        fresh = ComplianceChecker(
             catalog=checker.catalog, metareports=checker.metareports,
-            use_cache=False,
         ).check_report(report)
-        assert uncached.compliant == warm.compliant
-        assert uncached.violations == warm.violations
-        assert uncached.obligations == warm.obligations
+        assert fresh.compliant == warm.compliant
+        assert fresh.violations == warm.violations
+        assert fresh.obligations == warm.obligations
 
     def test_pla_revision_invalidates_verdict(self):
         """Re-eliciting the PLA (new version/status) must change the verdict

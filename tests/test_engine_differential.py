@@ -38,6 +38,7 @@ from repro.relational import (
     parse_query,
 )
 from repro.relational.expressions import And, Arith, Col, Comparison, IsNull, Lit, Not, Or
+from repro.relational.plancache import PlanCache
 from repro.relational.types import ColumnType
 from repro.relational.vector import try_vector_core
 
@@ -78,6 +79,21 @@ def assert_equivalent(query: Query, catalog: Catalog) -> None:
     assert got.schema == ref.schema
     assert list(got.rows) == list(ref.rows)
     assert list(got.provenance) == list(ref.provenance)
+
+
+def assert_footprint_and_take(table: Table, picks: list[int]) -> None:
+    """``footprint()`` and ``take()`` agree with their row-by-row meaning."""
+    idx = [p % len(table) for p in picks] if len(table) else []
+    taken = table.take(idx)
+    assert (
+        table.footprint(),
+        taken.rows,
+        list(taken.provenance),
+    ) == (
+        {f"{r.provider}/{r.table}" for r in table.all_lineage()},
+        [table.rows[i] for i in idx],
+        [table.provenance[i] for i in idx],
+    )
 
 
 def build_catalog(t_rows, d_rows) -> Catalog:
@@ -271,13 +287,31 @@ def query_trees(draw) -> tuple[Query, tuple[View, ...], bool]:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(t_rows=t_rows_strategy, d_rows=d_rows_strategy, tree=query_trees())
-def test_columnar_matches_row_reference(t_rows, d_rows, tree):
+@given(
+    t_rows=t_rows_strategy,
+    d_rows=d_rows_strategy,
+    tree=query_trees(),
+    picks=st.lists(st.integers(min_value=0, max_value=40), max_size=6),
+)
+def test_columnar_matches_row_reference(t_rows, d_rows, tree, picks):
     query, views, inlinable = tree
     catalog = build_catalog(t_rows, d_rows)
     for view in views:
         catalog.add_view(view)
     assert_equivalent(query, catalog)
+
+    # Table.footprint()/take() on each kind of result: row engine, a plan
+    # cache hit, and uncached columnar (MaskProvenance when the core fuses).
+    ref, ref_exc = _run(execute_row, query, catalog)
+    if ref_exc is None:
+        cached = ExecutionConfig(mode="columnar", plan_cache=PlanCache())
+        execute(query, catalog, config=cached)
+        for result in (
+            ref,
+            execute(query, catalog, config=cached),
+            execute(query, catalog, config=UNCACHED),
+        ):
+            assert_footprint_and_take(result, picks)
 
     # The planner's decision: a declined core runs on the row operators.
     try:

@@ -106,8 +106,31 @@ class TestAccess:
     def test_filter_rows_keeps_provenance(self):
         table = Table.from_rows("t", people_schema(), [("A", 1), ("B", 2)], provider="p")
         out = table.filter_rows(lambda row: row["age"] > 1)
-        assert len(out) == 1
+        assert (len(out), out.name, out.provider) == (1, "t", "derived")
         assert out.lineage_of(0) == frozenset([RowId("p", "t", 1)])
+
+    def test_take_gathers_in_order_with_source_name_and_provider(self):
+        table = Table.from_rows(
+            "t", people_schema(), [("A", 1), ("B", 2), ("C", 3)], provider="p"
+        )
+        out = table.take([2, 0, 2])
+        assert (out.name, out.provider, out.schema) == ("t", "p", table.schema)
+        assert out.rows == [("C", 3), ("A", 1), ("C", 3)]
+        assert out.provenance == [table.provenance[i] for i in (2, 0, 2)]
+        out.insert(("D", 4))
+        assert len(table) == 3
+
+    def test_take_with_explicit_name_and_provider(self):
+        table = Table.from_rows("t", people_schema(), [("A", 1), ("B", 2)], provider="p")
+        out = table.take([1], name="pub", provider="warehouse")
+        assert (out.name, out.provider) == ("pub", "warehouse")
+        assert out.lineage_of(0) == frozenset([RowId("p", "t", 1)])
+
+    def test_take_of_no_indices_is_empty(self):
+        table = Table.from_rows("t", people_schema(), [("A", 1)], provider="p")
+        out = table.take([])
+        assert (len(out), out.provenance, out.name, out.provider) == (0, [], "t", "p")
+        assert out.footprint() == frozenset()
 
     def test_derived_requires_matching_lengths(self):
         with pytest.raises(SchemaError):
