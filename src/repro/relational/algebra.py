@@ -109,7 +109,7 @@ def project(
                     derived.update(prov.where_of(src_col))
                 where[alias] = frozenset(derived)
         rows.append(tuple(values))
-        provs.append(RowProvenance(lineage=prov.lineage, where=where))
+        provs.append(prov.with_where(where))
     return Table.derived(name or table.name, schema, rows, provs)
 
 
@@ -218,7 +218,7 @@ def join(
             (f"{side.name}.{c}" if c in collisions else c): refs
             for c, refs in prov.where.items()
         }
-        return RowProvenance(lineage=prov.lineage, where=where)
+        return prov.with_where(where)
 
     matched_right: set[int] = set()
     for i, lrow in enumerate(left.rows):

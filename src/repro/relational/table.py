@@ -14,6 +14,7 @@ Every base-table row carries a stable :class:`RowId` naming its owner
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError, TypeMismatchError
@@ -37,6 +38,17 @@ def relation_identity(provider: str, table: str) -> str:
     address relations by this string.
     """
     return f"{provider}/{table}"
+
+
+@lru_cache(maxsize=1024)
+def _footprint_of(relations: frozenset[tuple[str, str]]) -> frozenset[str]:
+    """The identities of a set of ``(provider, table)`` pairs.
+
+    Lineage holds one ``RowId`` per contributing base row but names a
+    handful of relations, so rows drawing on the same relations share one
+    set and a memoized row footprint keeps no set of its own.
+    """
+    return frozenset(relation_identity(p, t) for p, t in relations)
 
 
 @dataclass(frozen=True, order=True)
@@ -68,10 +80,19 @@ _EMPTY_WHERE: Mapping[str, frozenset[CellRef]] = {}
 
 @dataclass(frozen=True)
 class RowProvenance:
-    """Provenance carried by one (derived) row."""
+    """Provenance carried by one (derived) row.
+
+    The row's :meth:`footprint` is computed on first call and kept on the
+    object. Plan-cache hits and :meth:`Table.take` / :meth:`Table.derived`
+    subsets share provenance objects, so a cached result's lineage is
+    walked once, not once per delivery.
+    """
 
     lineage: frozenset[RowId] = EMPTY_LINEAGE
     where: Mapping[str, frozenset[CellRef]] = None  # type: ignore[assignment]
+    #: Memo of :meth:`footprint`, set on the instance by its first call.
+    #: Not a field, so equality, hashing and repr ignore it.
+    _footprint = None
 
     def __post_init__(self) -> None:
         if self.where is None:
@@ -106,6 +127,34 @@ class RowProvenance:
         """Base cells the value in ``column`` was copied from (may be empty)."""
         return self.where.get(column, frozenset())
 
+    def footprint(self) -> frozenset[str]:
+        """The :func:`relation_identity` of each base relation in the lineage.
+
+        The memo is stored with ``object.__setattr__`` and read as a plain
+        attribute: on CPython 3.11, touching an instance's ``__dict__``
+        materializes it and slows every later attribute read on that
+        object. Concurrent first calls compute the same set, so either
+        store is right.
+        """
+        footprint = self._footprint
+        if footprint is None:
+            footprint = _footprint_of(
+                frozenset([(rid.provider, rid.table) for rid in self.lineage])
+            )
+            object.__setattr__(self, "_footprint", footprint)
+        return footprint
+
+    def with_where(self, where: Mapping[str, frozenset[CellRef]]) -> "RowProvenance":
+        """The same lineage with new where-provenance.
+
+        The lineage frozenset is shared, so a memoized :meth:`footprint`
+        carries over.
+        """
+        out = RowProvenance.make(self.lineage, where)
+        if self._footprint is not None:
+            object.__setattr__(out, "_footprint", self._footprint)
+        return out
+
     def merged(self, other: "RowProvenance") -> "RowProvenance":
         """Combine provenance of two rows joined into one output row."""
         where = dict(self.where)
@@ -114,12 +163,9 @@ class RowProvenance:
 
     def projected(self, mapping: Mapping[str, str]) -> "RowProvenance":
         """Provenance after projecting/renaming: ``mapping`` is new→old name."""
-        where = {
-            new: self.where[old]
-            for new, old in mapping.items()
-            if old in self.where
-        }
-        return RowProvenance(lineage=self.lineage, where=where)
+        return self.with_where(
+            {new: self.where[old] for new, old in mapping.items() if old in self.where}
+        )
 
 
 class Table:
@@ -264,18 +310,10 @@ class Table:
         return frozenset(out)
 
     def footprint(self) -> frozenset[str]:
-        """The :func:`relation_identity` of every base relation in the lineage.
-
-        Lineage holds one ``RowId`` per contributing base row, but a table
-        draws on a handful of relations, so each distinct
-        ``(provider, table)`` pair is formatted once.
-        """
-        pairs = {
-            (rid.provider, rid.table)
-            for prov in self.provenance
-            for rid in prov.lineage
-        }
-        return frozenset(relation_identity(p, t) for p, t in pairs)
+        """The :func:`relation_identity` of every base relation in the lineage:
+        the union of the rows' memoized :meth:`RowProvenance.footprint`,
+        which rows over the same relations share."""
+        return frozenset().union(*{prov.footprint() for prov in self.provenance})
 
     def distinct_values(self, name: str) -> set[Any]:
         """Set of distinct non-NULL values in ``name``."""

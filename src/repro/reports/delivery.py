@@ -29,7 +29,6 @@ from repro.core.translation import ReportLevelEnforcer
 from repro.obs import instrument
 from repro.obs.trace import TRACER
 from repro.policy.subjects import AccessContext, SubjectRegistry
-from repro.relational.table import relation_identity
 from repro.reports.catalog import ReportCatalog
 from repro.reports.definition import ReportInstance
 from repro.resilience.runtime import (
@@ -178,11 +177,8 @@ class DeliveryService:
         table = instance.table
         keep = [
             i
-            for i in range(len(table))
-            if not any(
-                relation_identity(rid.provider, rid.table) in down
-                for rid in table.lineage_of(i)
-            )
+            for i, prov in enumerate(table.provenance)
+            if prov.footprint().isdisjoint(down)
         ]
         dropped = len(table) - len(keep)
         return replace(

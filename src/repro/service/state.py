@@ -137,10 +137,23 @@ class ServiceState:
     def _on_audit_record(
         self, record: "DisclosureRecord", instance: "ReportInstance"
     ) -> None:
-        """Audit-append hook: runs under the audit lock, in chain order."""
-        from repro.service.linearize import chain_digest, payload_hash
+        """Audit-append hook: runs under the audit lock, in chain order.
 
-        self._norm_chain = chain_digest(self._norm_chain, record)
+        While the record has no trace ID and the running digest still equals
+        the audit chain's previous hash, the trace-independent digest is the
+        audit chain hash itself, so it is reused instead of hashed again.
+        Once a traced record has made the chains diverge, every later digest
+        is computed.
+        """
+        from repro.service.linearize import GENESIS, chain_digest, payload_hash
+
+        # The hook runs right after the append: records[-1] is ``record``.
+        records = self.service.audit_log.records
+        previous = records[-2].chain_hash if len(records) > 1 else GENESIS
+        if not record.trace_id and self._norm_chain == previous:
+            self._norm_chain = record.chain_hash
+        else:
+            self._norm_chain = chain_digest(self._norm_chain, record)
         entry = CommitEntry(
             kind="deliver",
             epoch=self.epoch,

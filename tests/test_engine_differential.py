@@ -37,6 +37,7 @@ from repro.relational import (
     make_schema,
     parse_query,
 )
+from repro.relational import algebra
 from repro.relational.expressions import And, Arith, Col, Comparison, IsNull, Lit, Not, Or
 from repro.relational.plancache import PlanCache
 from repro.relational.types import ColumnType
@@ -82,7 +83,11 @@ def assert_equivalent(query: Query, catalog: Catalog) -> None:
 
 
 def assert_footprint_and_take(table: Table, picks: list[int]) -> None:
-    """``footprint()`` and ``take()`` agree with their row-by-row meaning."""
+    """``footprint()`` and ``take()`` agree with their row-by-row meaning.
+
+    Each row's memoized footprint equals a walk of its lineage, also after
+    ``take``, ``project`` and ``rename``, which carry the memo over.
+    """
     idx = [p % len(table) for p in picks] if len(table) else []
     taken = table.take(idx)
     assert (
@@ -94,6 +99,17 @@ def assert_footprint_and_take(table: Table, picks: list[int]) -> None:
         [table.rows[i] for i in idx],
         [table.provenance[i] for i in idx],
     )
+    names = table.schema.names
+    for derived in (
+        table,
+        taken,
+        algebra.project(table, names[::-1]),
+        algebra.rename(table, {n: f"{n}_r" for n in names}),
+    ):
+        provs = list(derived.provenance)
+        assert [p.footprint() for p in provs] == [
+            {f"{r.provider}/{r.table}" for r in p.lineage} for p in provs
+        ]
 
 
 def build_catalog(t_rows, d_rows) -> Catalog:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import SchemaError, TypeMismatchError
+from repro.relational import Catalog, ExecutionConfig, execute, parse_query
+from repro.relational.plancache import PlanCache
 from repro.relational.table import CellRef, RowId, RowProvenance, Table, make_schema
 from repro.relational.types import ColumnType
 
@@ -88,6 +90,34 @@ class TestProvenance:
         assert table.all_lineage() == frozenset(
             [RowId("p", "t", 0), RowId("p", "t", 1)]
         )
+
+
+class TestFootprintMemo:
+    # Rows over the same relations share one footprint set, so sharing is
+    # checked on the memo slot before any call could recompute it.
+    def test_hits_subsets_and_projections_share_the_memo(self):
+        catalog = Catalog()
+        catalog.add_table(
+            Table.from_rows("t", people_schema(), [("A", 1), ("B", 2)], provider="p")
+        )
+        config = ExecutionConfig(mode="columnar", plan_cache=PlanCache())
+        query = parse_query("SELECT name, age FROM t WHERE age > 1")
+        miss = execute(query, catalog, config=config)
+        memo = miss.provenance[0].footprint()
+        assert memo == frozenset({"p/t"})
+        hit = execute(query, catalog, config=config)
+        assert hit.provenance[0]._footprint is memo
+        assert hit.take([0, 0]).provenance[1]._footprint is memo
+        assert hit.provenance[0].projected({"who": "name"})._footprint is memo
+
+    def test_merged_recomputes_the_memo(self):
+        left = Table.from_rows("t", people_schema(), [("A", 1)], provider="p")
+        right = Table.from_rows("u", people_schema(), [("B", 2)], provider="q")
+        a, b = left.provenance[0], right.provenance[0]
+        memos = (a.footprint(), b.footprint())
+        merged = a.merged(b).footprint()
+        assert merged == frozenset({"p/t", "q/u"})
+        assert all(merged is not memo for memo in memos)
 
 
 class TestAccess:

@@ -463,6 +463,35 @@ class TestLinearizability:
         records = small_state.service.audit_log.records
         assert [r.sequence for r in records] == sequences
 
+    def test_commit_digest_survives_obs_toggles(self, small_state):
+        """Untraced deliveries reuse the audit chain hash as their digest
+        only while the two chains agree: after a traced record (obs on)
+        they diverge, and untraced deliveries must hash again."""
+        from repro import obs
+        from repro.service.linearize import GENESIS, chain_digest
+
+        ops = [
+            ("deliver", d.name, _compliant_args(d)["user"], d.purpose)
+            for d in small_state.scenario.workload
+        ]
+        previous = obs.enabled()
+        try:
+            for traced in (False, True, False):
+                (obs.enable if traced else obs.disable)()
+                _run_concurrent(small_state, ops, workers=2)
+        finally:
+            (obs.enable if previous else obs.disable)()
+        records = small_state.service.audit_log.records
+        assert any(r.trace_id for r in records) and not records[-1].trace_id
+        expected, chain = [], GENESIS
+        for record in records:
+            chain = chain_digest(chain, record)
+            expected.append(chain)
+        commits, refusals = small_state.logs_snapshot()
+        assert [e.chain_hash for e in commits if e.kind == "deliver"] == expected
+        report = check_linearizable(small_scenario, commits, refusals)
+        assert report.ok, report.violations
+
     def test_detects_a_tampered_commit_log(self, small_state):
         from dataclasses import replace as dc_replace
 
