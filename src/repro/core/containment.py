@@ -5,7 +5,7 @@ on the meta-reports are used to determine if the new report is
 privacy-compliant. This can be often done easily as the reports can, at
 least conceptually, be expressed as a subset or view over a meta-report."
 
-Two layers:
+Two checks, and one predicate reasoner under both:
 
 * :func:`check_derivability` — the pragmatic check used by the compliance
   engine: a report query is derivable from a meta-report if its relations,
@@ -13,17 +13,23 @@ Two layers:
   meta-report's output. Sound under the shared-universe assumption (both
   are carved from the same star join), which is how meta-reports are built.
 * :func:`is_contained` — genuine conjunctive-query containment via the
-  homomorphism theorem (Chandra–Merlin), extended conservatively with
-  comparison predicates: Q1 ⊆ Q2 is reported only when a containment
-  mapping exists *and* Q1's constraints imply the mapped constraints of
-  Q2. Sound but incomplete in the presence of inequalities — exactly the
-  right polarity for a privacy check (never wrongly declares compliance).
+  homomorphism theorem (Chandra–Merlin): Q1 ⊆ Q2 is reported only when a
+  containment mapping exists *and* Q1's residual WHERE implies Q2's,
+  mapped onto Q1's variables.
+
+Both decide predicate implication with :func:`predicate_implies`, which
+asks the verifier's exact three-valued solver
+(:mod:`repro.verify.solver`) — the same reasoner behind PLA lint and the
+cross-level proofs. It answers False whenever it cannot certify an
+implication: exactly the right polarity for a privacy check (never
+wrongly declares compliance).
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from functools import reduce
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -33,6 +39,7 @@ from repro.obs import instrument
 from repro.obs.trace import TRACER
 from repro.relational.catalog import Catalog
 from repro.relational.expressions import (
+    And,
     Col,
     Comparison,
     Expr,
@@ -45,7 +52,6 @@ from repro.relational.query import Query
 
 __all__ = [
     "predicate_implies",
-    "conjunction_inconsistent",
     "DerivabilityResult",
     "check_derivability",
     "source_columns_used",
@@ -115,284 +121,69 @@ def clear_proof_caches() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Predicate implication (per-column interval reasoning, conservative)
+# Predicate implication (a client of the verifier's exact solver)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ColumnConstraints:
-    """Accumulated constraints on one column from a conjunction."""
-
-    eq: Any | None = None
-    has_eq: bool = False
-    lower: Any | None = None  # value of strongest lower bound
-    lower_strict: bool = False
-    upper: Any | None = None
-    upper_strict: bool = False
-    not_eq: set[Any] = field(default_factory=set)
-    in_set: set[Any] | None = None  # None = unconstrained
-    not_null: bool = False
-
-    def add(self, op: str, value: Any) -> None:
-        if op == "=":
-            if self.has_eq and self.eq != value:
-                # Contradiction; the conjunction is unsatisfiable, which
-                # trivially implies anything. Record as-is; implication
-                # handling below treats eq specially.
-                pass
-            self.eq = value
-            self.has_eq = True
-        elif op == "!=":
-            self.not_eq.add(value)
-        elif op in (">", ">="):
-            strict = op == ">"
-            if self.lower is None or value > self.lower or (
-                value == self.lower and strict and not self.lower_strict
-            ):
-                self.lower = value
-                self.lower_strict = strict
-        elif op in ("<", "<="):
-            strict = op == "<"
-            if self.upper is None or value < self.upper or (
-                value == self.upper and strict and not self.upper_strict
-            ):
-                self.upper = value
-                self.upper_strict = strict
-        else:  # pragma: no cover - callers validate ops
-            raise NotConjunctive(f"unsupported op {op!r}")
-
-    def add_in(self, values: set[Any]) -> None:
-        self.in_set = values if self.in_set is None else (self.in_set & values)
-
-    # -- implication checks ------------------------------------------------
-
-    def implies(self, op: str, value: Any) -> bool:
-        """Do these constraints guarantee ``column op value``?"""
-        if self.has_eq:
-            return _eval_cmp(self.eq, op, value)
-        if self.in_set is not None and all(
-            _eval_cmp(v, op, value) for v in self.in_set
-        ):
-            return True
-        if op == "=":
-            return False  # only eq/in can force equality
-        if op == "!=":
-            if value in self.not_eq:
-                return True
-            if self.lower is not None and _eval_cmp(value, "<", self.lower) or (
-                self.lower is not None and value == self.lower and self.lower_strict
-            ):
-                return True
-            if self.upper is not None and _eval_cmp(value, ">", self.upper) or (
-                self.upper is not None and value == self.upper and self.upper_strict
-            ):
-                return True
-            return False
-        if op in (">", ">="):
-            if self.lower is None:
-                return False
-            if self.lower > value:
-                return True
-            if self.lower == value:
-                return self.lower_strict or op == ">="
-            return False
-        if op in ("<", "<="):
-            if self.upper is None:
-                return False
-            if self.upper < value:
-                return True
-            if self.upper == value:
-                return self.upper_strict or op == "<="
-            return False
-        return False
-
-    def implies_in(self, values: set[Any]) -> bool:
-        if self.has_eq:
-            return self.eq in values
-        if self.in_set is not None:
-            return self.in_set <= values
-        return False
-
-    def implies_not_null(self) -> bool:
-        return (
-            self.not_null
-            or self.has_eq
-            or self.lower is not None
-            or self.upper is not None
-            or self.in_set is not None
-        )
-
-
-def _eval_cmp(left: Any, op: str, right: Any) -> bool:
-    try:
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError:
-        return False
-    return False
-
-
-def _decompose(predicate: Expr | None) -> dict[str, _ColumnConstraints]:
-    """Per-column constraints of a conjunctive predicate.
-
-    Raises :class:`NotConjunctive` on OR/NOT/column-column comparisons and
-    other shapes outside the fragment.
-    """
-    constraints: dict[str, _ColumnConstraints] = {}
-
-    def bucket(column: str) -> _ColumnConstraints:
-        return constraints.setdefault(column, _ColumnConstraints())
-
-    for conjunct in conjuncts(predicate):
-        if isinstance(conjunct, Comparison):
-            left, right = conjunct.left, conjunct.right
-            if isinstance(left, Col) and isinstance(right, Lit):
-                bucket(left.name).add(conjunct.op, right.value)
-            elif isinstance(left, Lit) and isinstance(right, Col):
-                from repro.relational.expressions import FLIPPED_OP
-
-                bucket(right.name).add(FLIPPED_OP[conjunct.op], left.value)
-            else:
-                raise NotConjunctive(f"non col-lit comparison: {conjunct}")
-        elif isinstance(conjunct, InList):
-            if not isinstance(conjunct.target, Col):
-                raise NotConjunctive(f"IN over non-column: {conjunct}")
-            bucket(conjunct.target.name).add_in(set(conjunct.values))
-        elif isinstance(conjunct, IsNull):
-            if not isinstance(conjunct.target, Col):
-                raise NotConjunctive(f"IS NULL over non-column: {conjunct}")
-            if not conjunct.negated:
-                raise NotConjunctive("IS NULL (non-negated) not in fragment")
-            bucket(conjunct.target.name).not_null = True
-        else:
-            raise NotConjunctive(f"non-conjunctive shape: {conjunct}")
-    return constraints
-
-
 def predicate_implies(stronger: Expr | None, weaker: Expr | None) -> bool:
-    """Conservative test that ``stronger`` implies ``weaker``.
+    """Sound test that every row ``stronger`` keeps, ``weaker`` keeps too.
 
-    ``None`` means TRUE (no restriction). Returns False when the fragment
-    cannot certify the implication — never a false positive.
+    ``None`` means TRUE (no restriction). Returns False when the
+    implication cannot be certified — never a false positive. Cheap
+    answers come first: no conclusion, and conclusion conjuncts that
+    appear verbatim among the premise's (which covers shapes outside the
+    solver's fragment, such as ``a * b > 3``). A premise the solver's
+    pre-pass proves empty implies anything. The rest is split into
+    column-disjoint parts, each one query to
+    :func:`~repro.verify.solver.implication_counterexample` whose premise
+    is only the conjuncts that share columns with its conclusion, directly
+    or through other conjuncts: dropping the rest weakens the premise,
+    which keeps the answer sound.
     """
     if weaker is None:
         return True
-    # _decompose keeps the last value for repeated equalities on one column,
-    # so an internally contradictory side must be settled first: an empty
-    # premise implies anything; nothing (we can certify) implies an empty
-    # conclusion.
+    premise = list(conjuncts(stronger))
+    available = {str(c) for c in premise}
+    needed = [c for c in conjuncts(weaker) if str(c) not in available]
+    if not needed:
+        return True
+    # Imported here: repro.verify imports this module through crosslevel.
+    from repro.verify.solver import (
+        Sat,
+        conjunction_inconsistent,
+        implication_counterexample,
+    )
+
     if conjunction_inconsistent(stronger):
         return True
-    if conjunction_inconsistent(weaker):
-        return False
-    try:
-        have = _decompose(stronger)
-        need = _decompose(weaker)
-    except NotConjunctive:
-        # Fall back to syntactic subsumption: every needed conjunct appears
-        # verbatim among the available conjuncts.
-        if stronger is None:
-            return False
-        available = {str(c) for c in conjuncts(stronger)}
-        return all(str(c) in available for c in conjuncts(weaker))
-    for column, needed in need.items():
-        having = have.get(column, _ColumnConstraints())
-        if needed.has_eq and not having.implies("=", needed.eq):
-            return False
-        for value in needed.not_eq:
-            if not having.implies("!=", value):
-                return False
-        if needed.lower is not None:
-            op = ">" if needed.lower_strict else ">="
-            if not having.implies(op, needed.lower):
-                return False
-        if needed.upper is not None:
-            op = "<" if needed.upper_strict else "<="
-            if not having.implies(op, needed.upper):
-                return False
-        if needed.in_set is not None and not having.implies_in(needed.in_set):
-            return False
-        if needed.not_null and not having.implies_not_null():
-            return False
-    return True
+    return all(
+        implication_counterexample(part_premise, part_conclusion).status
+        is Sat.UNSAT
+        for part_premise, part_conclusion in _linked_parts(premise, needed)
+    )
 
 
-def conjunction_inconsistent(predicate: Expr | None) -> bool:
-    """Sound, fast test that a conjunctive predicate admits no satisfying row.
-
-    ``True`` only when the per-column interval/equality abstraction proves
-    emptiness; ``False`` means "not provably empty here" (the exact solver
-    in :mod:`repro.verify` decides the rest by enumeration). Predicates
-    outside the conjunctive fragment are never claimed inconsistent.
-    Integer bounds are treated densely (``5 < x < 6`` is *not* claimed
-    empty), so the abstraction stays sound for float-typed columns too.
-    """
-    if predicate is None:
-        return False
-    # _decompose's eq handling keeps the last value on x=a AND x=b; detect
-    # conflicting equalities directly from the conjunct list first.
-    eq_values: dict[str, Any] = {}
-    for conjunct in conjuncts(predicate):
-        if isinstance(conjunct, Comparison) and conjunct.op == "=":
-            left, right = conjunct.left, conjunct.right
-            if isinstance(left, Col) and isinstance(right, Lit):
-                column, value = left.name, right.value
-            elif isinstance(left, Lit) and isinstance(right, Col):
-                column, value = right.name, left.value
-            else:
-                continue
-            if column in eq_values and eq_values[column] != value:
-                return True
-            eq_values[column] = value
-    try:
-        buckets = _decompose(predicate)
-    except NotConjunctive:
-        return False
-    return any(_bucket_empty(b) for b in buckets.values())
-
-
-def _bucket_empty(b: _ColumnConstraints) -> bool:
-    """Does this one column's constraint set rule out every value?"""
-    if b.has_eq:
-        v = b.eq
-        if v in b.not_eq:
-            return True
-        if b.in_set is not None and v not in b.in_set:
-            return True
-        if b.lower is not None and (
-            _eval_cmp(v, "<", b.lower) or (v == b.lower and b.lower_strict)
-        ):
-            return True
-        if b.upper is not None and (
-            _eval_cmp(v, ">", b.upper) or (v == b.upper and b.upper_strict)
-        ):
-            return True
-        return False
-    if b.in_set is not None:
-        survivors = set(b.in_set) - b.not_eq
-        if b.lower is not None:
-            op = ">" if b.lower_strict else ">="
-            survivors = {v for v in survivors if _eval_cmp(v, op, b.lower)}
-        if b.upper is not None:
-            op = "<" if b.upper_strict else "<="
-            survivors = {v for v in survivors if _eval_cmp(v, op, b.upper)}
-        return not survivors
-    if b.lower is not None and b.upper is not None:
-        if _eval_cmp(b.lower, ">", b.upper):
-            return True
-        if b.lower == b.upper and (b.lower_strict or b.upper_strict):
-            return True
-    return False
+def _linked_parts(
+    premise: list[Expr], conclusion: list[Expr]
+) -> list[tuple[Expr | None, Expr]]:
+    """Group conjuncts that share columns; keep the groups with a conclusion."""
+    parts: list[tuple[set[str], list[Expr], list[Expr]]] = []
+    for conjunct, goal in [(c, False) for c in premise] + [
+        (c, True) for c in conclusion
+    ]:
+        columns = set(conjunct.columns())
+        linked = [p for p in parts if p[0] & columns]
+        parts = [p for p in parts if not p[0] & columns]
+        part: tuple[set[str], list[Expr], list[Expr]] = (columns, [], [])
+        for other in linked:
+            columns |= other[0]
+            part[1].extend(other[1])
+            part[2].extend(other[2])
+        (part[2] if goal else part[1]).append(conjunct)
+        parts.append(part)
+    return [
+        (reduce(And, p) if p else None, reduce(And, c)) for _, p, c in parts if c
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +295,7 @@ def _check_derivability_uncached(
             f"report touches base relations outside the meta-report: {sorted(uncovered)}"
         )
 
-    meta_outputs = metareport_query.output_names()
-    if meta_outputs is None:
-        meta_outputs = _expanded_outputs(metareport_query, catalog)
+    meta_outputs = catalog.output_names(metareport_query)
     used = source_columns_used(report_query)
     unknown = {c for c in used if c not in meta_outputs}
     if unknown:
@@ -564,21 +353,6 @@ def source_columns_used(query: Query) -> frozenset[str]:
     return frozenset(used)
 
 
-def _expanded_outputs(query: Query, catalog: Catalog) -> tuple[str, ...]:
-    """Output names of a SELECT * query, resolved through the catalog."""
-    names: list[str] = []
-    for relation in query.referenced_relations():
-        if catalog.is_table(relation):
-            names.extend(catalog.table(relation).schema.names)
-        else:
-            view_query = catalog.view(relation).query
-            outs = view_query.output_names()
-            if outs is None:
-                outs = _expanded_outputs(view_query, catalog)
-            names.extend(outs)
-    return tuple(names)
-
-
 # ---------------------------------------------------------------------------
 # Conjunctive-query containment (homomorphism theorem)
 # ---------------------------------------------------------------------------
@@ -595,12 +369,13 @@ class CanonicalQuery:
     """A conjunctive query in canonical form.
 
     Variables are integers; ``head`` maps output column name → variable;
-    ``constraints`` holds per-variable comparison constraints.
+    ``where`` is the residual WHERE clause (variable equalities folded into
+    the atoms) over variable names ``v<id>``.
     """
 
     atoms: list[_Atom] = field(default_factory=list)
     head: dict[str, int] = field(default_factory=dict)
-    constraints: dict[int, _ColumnConstraints] = field(default_factory=dict)
+    where: Expr | None = None
     n_vars: int = 0
 
 
@@ -691,21 +466,19 @@ def canonicalize(query: Query, catalog: Catalog) -> CanonicalQuery:
                 atoms_vars[clause_idx + 1][rcol],
             )
 
-    # Constraints from the WHERE clause.
-    constraint_buckets: dict[int, _ColumnConstraints] = {}
-    if query.where is not None:
-        for conjunct in conjuncts(query.where):
-            if isinstance(conjunct, Comparison) and isinstance(
-                conjunct.left, Col
-            ) and isinstance(conjunct.right, Col):
-                if conjunct.op != "=":
-                    raise NotConjunctive("var-var inequality not in fragment")
-                uf.union(resolve(conjunct.left.name), resolve(conjunct.right.name))
-        per_column = _decompose(_strip_var_var(query.where))
-        for name, constraints in per_column.items():
-            root = uf.find(resolve(name))
-            bucket = constraint_buckets.setdefault(root, _ColumnConstraints())
-            _merge_constraints(bucket, constraints)
+    # Variable equalities fold into the atoms; the rest stays a predicate.
+    residual: list[Expr] = []
+    for conjunct in conjuncts(query.where):
+        if isinstance(conjunct, Comparison) and isinstance(
+            conjunct.left, Col
+        ) and isinstance(conjunct.right, Col):
+            if conjunct.op != "=":
+                raise NotConjunctive("var-var inequality not in fragment")
+            uf.union(resolve(conjunct.left.name), resolve(conjunct.right.name))
+        elif _is_cq_atom(conjunct):
+            residual.append(conjunct)
+        else:
+            raise NotConjunctive(f"non-conjunctive shape: {conjunct}")
 
     canonical = CanonicalQuery()
     for i, relation in enumerate(relations):
@@ -724,44 +497,26 @@ def canonicalize(query: Query, catalog: Catalog) -> CanonicalQuery:
                 raise NotConjunctive(f"computed head column {name!r} not in fragment")
             canonical.head[name] = uf.find(resolve(expr.name))
     else:
-        for name in _expanded_outputs(query, catalog):
+        for name in catalog.output_names(query):
             canonical.head[name] = uf.find(resolve(name))
-    canonical.constraints = constraint_buckets
+    renamed = [
+        c.substitute({n: f"v{uf.find(resolve(n))}" for n in c.columns()})
+        for c in residual
+    ]
+    canonical.where = reduce(And, renamed) if renamed else None
     canonical.n_vars = len(uf.parent)
     return canonical
 
 
-def _strip_var_var(predicate: Expr) -> Expr | None:
-    """Remove var=var conjuncts (handled via union-find) from a predicate."""
-    remaining = [
-        c
-        for c in conjuncts(predicate)
-        if not (
-            isinstance(c, Comparison)
-            and isinstance(c.left, Col)
-            and isinstance(c.right, Col)
+def _is_cq_atom(atom: Expr) -> bool:
+    """A column-vs-literal comparison, IN list or IS NOT NULL over a column."""
+    if isinstance(atom, Comparison):
+        return (isinstance(atom.left, Col) and isinstance(atom.right, Lit)) or (
+            isinstance(atom.left, Lit) and isinstance(atom.right, Col)
         )
-    ]
-    if not remaining:
-        return None
-    expr = remaining[0]
-    for c in remaining[1:]:
-        expr = expr & c
-    return expr
-
-
-def _merge_constraints(into: _ColumnConstraints, other: _ColumnConstraints) -> None:
-    if other.has_eq:
-        into.add("=", other.eq)
-    for v in other.not_eq:
-        into.add("!=", v)
-    if other.lower is not None:
-        into.add(">" if other.lower_strict else ">=", other.lower)
-    if other.upper is not None:
-        into.add("<" if other.upper_strict else "<=", other.upper)
-    if other.in_set is not None:
-        into.add_in(set(other.in_set))
-    into.not_null = into.not_null or other.not_null
+    if isinstance(atom, InList):
+        return isinstance(atom.target, Col)
+    return isinstance(atom, IsNull) and atom.negated and isinstance(atom.target, Col)
 
 
 def is_contained(q1: Query, q2: Query, catalog: Catalog) -> bool:
@@ -809,7 +564,7 @@ def _find_homomorphism(source: CanonicalQuery, target: CanonicalQuery) -> bool:
 
     Maps each source atom onto a target atom of the same relation with a
     consistent variable mapping; head variables must align by column name;
-    target constraints must imply the mapped source constraints.
+    the target's WHERE must imply the source's, mapped onto its variables.
     """
     candidates: list[list[_Atom]] = []
     for atom in source.atoms:
@@ -837,35 +592,21 @@ def _find_homomorphism(source: CanonicalQuery, target: CanonicalQuery) -> bool:
             for name, sv in source.head.items()
         ):
             continue
-        # Target constraints must imply mapped source constraints.
-        if _constraints_ok(source, target, mapping):
+        if _where_implied(source, target, mapping):
             return True
     return False
 
 
-def _constraints_ok(
+def _where_implied(
     source: CanonicalQuery, target: CanonicalQuery, mapping: dict[int, int]
 ) -> bool:
-    for sv, needed in source.constraints.items():
-        dv = mapping.get(sv)
+    """Does the target's WHERE imply the source's, mapped onto its variables?"""
+    if source.where is None:
+        return True
+    names: dict[str, str] = {}
+    for name in source.where.columns():
+        dv = mapping.get(int(name[1:]))
         if dv is None:
             return False
-        having = target.constraints.get(dv, _ColumnConstraints())
-        if needed.has_eq and not having.implies("=", needed.eq):
-            return False
-        for value in needed.not_eq:
-            if not having.implies("!=", value):
-                return False
-        if needed.lower is not None and not having.implies(
-            ">" if needed.lower_strict else ">=", needed.lower
-        ):
-            return False
-        if needed.upper is not None and not having.implies(
-            "<" if needed.upper_strict else "<=", needed.upper
-        ):
-            return False
-        if needed.in_set is not None and not having.implies_in(needed.in_set):
-            return False
-        if needed.not_null and not having.implies_not_null():
-            return False
-    return True
+        names[name] = f"v{dv}"
+    return predicate_implies(target.where, source.where.substitute(names))

@@ -27,7 +27,7 @@ from repro.core.containment import (
     source_columns_used,
 )
 from repro.core.pla import PLA, PlaStatus
-from repro.relational.catalog import Catalog, View
+from repro.relational.catalog import MAX_VIEW_DEPTH, Catalog, View
 from repro.relational.expressions import And, Col, Expr, Or
 from repro.relational.query import Query
 from repro.reports.definition import ReportDefinition
@@ -38,9 +38,6 @@ __all__ = [
     "generate_metareports",
     "effective_region",
 ]
-
-_MAX_CHAIN_DEPTH = 32
-
 
 @dataclass
 class MetaReport:
@@ -227,9 +224,9 @@ def effective_region(
     depth = 0
     while relation != universe:
         depth += 1
-        if depth > _MAX_CHAIN_DEPTH:
+        if depth > MAX_VIEW_DEPTH:
             raise NotConjunctive(
-                f"view chain deeper than {_MAX_CHAIN_DEPTH}; cycle?"
+                f"view chain deeper than {MAX_VIEW_DEPTH}; cycle?"
             )
         if not catalog.is_view(relation):
             raise NotConjunctive(

@@ -180,7 +180,7 @@ class ReportLevelEnforcer:
         from repro.relational.catalog import View
 
         source = query.source
-        available = self._source_outputs(source)
+        available = self.catalog.output_names(source)
         missing = {c for c in columns if c not in available}
         if not missing:
             return query
@@ -191,7 +191,7 @@ class ReportLevelEnforcer:
             )
         view_query = self.catalog.view(source).query
         view_outputs = view_query.output_names()
-        upstream = self._source_outputs(view_query.source)
+        upstream = self.catalog.output_names(view_query.source)
         if view_outputs is None or not missing <= set(upstream):
             raise EnforcementError(
                 f"cannot reach hidden column(s) {sorted(missing)} through "
@@ -208,15 +208,6 @@ class ReportLevelEnforcer:
         ):
             self.catalog.add_view(View(extended_name, extended), replace=True)
         return _replace(query, source=extended_name)
-
-    def _source_outputs(self, relation: str) -> tuple[str, ...]:
-        if self.catalog.is_table(relation):
-            return self.catalog.table(relation).schema.names
-        view_query = self.catalog.view(relation).query
-        outputs = view_query.output_names()
-        if outputs is not None:
-            return outputs
-        return self._source_outputs(view_query.source)
 
     def _rewrite_for_intensional(
         self,

@@ -195,6 +195,40 @@ class Catalog:
                 )
         return frozenset(out)
 
+    def output_names(self, source: str | Query) -> tuple[str, ...]:
+        """Column names that executing ``source`` (a relation or query) yields.
+
+        Answers the way the engine does: an explicit SELECT list, or GROUP
+        BY plus aggregates, names the outputs; a bare ``SELECT *`` yields
+        its FROM relation's columns, then each joined relation's, with
+        names that collide qualified as ``<relation>.<column>`` the way
+        :func:`~repro.relational.algebra.join` qualifies them; a set
+        operation is named by its head alone. View chains deeper than
+        :data:`MAX_VIEW_DEPTH` raise :class:`CatalogError`.
+        """
+        return self._output_names(source, 0)
+
+    def _output_names(self, source: str | Query, depth: int) -> tuple[str, ...]:
+        if isinstance(source, str):
+            if source in self._tables:
+                return self._tables[source].schema.names
+            if depth > MAX_VIEW_DEPTH:
+                raise CatalogError(f"view nesting deeper than {MAX_VIEW_DEPTH}; cycle?")
+            return self._output_names(self.view(source).query, depth + 1)
+        names = source.output_names()
+        if names is not None:
+            return names
+        names = self._output_names(source.source, depth)
+        left = source.source
+        for clause in source.joins:
+            right = self._output_names(clause.table, depth)
+            clash = set(names) & set(right)
+            names = tuple(f"{left}.{n}" if n in clash else n for n in names) + tuple(
+                f"{clause.table}.{n}" if n in clash else n for n in right
+            )
+            left = f"{left}_{clause.table}"
+        return names
+
     def base_relations_of_query(self, query: Query) -> frozenset[str]:
         """Transitive base tables referenced anywhere in ``query``."""
         out: set[str] = set()

@@ -6,12 +6,15 @@ registered, but nothing proved that the deployed artifacts — source
 policies, warehouse authorizations, approved meta-report definitions, and
 the catalog views actually executed — still agree with each other. This
 package proves (or refutes, with a replayable counterexample) the Fig 5
-ordering across all four levels without executing a single report:
+ordering across all four levels without executing a single report. Both
+sides decide predicate implication with the same solver:
 
 * :mod:`repro.verify.domain` — finite abstract domains over predicate
-  constants (the small-model argument that makes enumeration exact),
+  constants, numbers read densely (the small-model argument that makes
+  enumeration exact),
 * :mod:`repro.verify.solver` — satisfiability / implication / disjointness
-  under SQL three-valued logic,
+  under SQL three-valued logic; the one predicate reasoner, also behind
+  derivability, CQ containment and PLA lint in :mod:`repro.core`,
 * :mod:`repro.verify.verdicts` — typed ``PROVED``/``REFUTED``/``UNKNOWN``
   results with proof traces, rendered as VER001–VER006 diagnostics,
 * :mod:`repro.verify.fd` — functional dependencies derived from the star

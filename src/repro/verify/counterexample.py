@@ -22,13 +22,14 @@ from typing import Any, Iterable, Mapping
 from repro.core.annotations import IntensionalCondition
 from repro.core.compliance import ComplianceVerdict, RuntimeObligation
 from repro.core.translation import ReportLevelEnforcer
-from repro.errors import ReproError
+from repro.errors import ReproError, TypeMismatchError
 from repro.policy.subjects import SubjectRegistry
 from repro.relational.catalog import Catalog, View
+from repro.relational.engine import execute
 from repro.relational.expressions import Expr
 from repro.relational.query import Query
 from repro.relational.table import Table, make_schema
-from repro.relational.types import ColumnType
+from repro.relational.types import ColumnType, coerce_value
 from repro.reports.definition import ReportDefinition
 from repro.verify.fd import FunctionalDependency, violated_fd
 from repro.verify.solver import truth
@@ -102,31 +103,75 @@ def _column_type(value: Any) -> ColumnType:
     return ColumnType.STRING
 
 
+def _universe_types(catalog: Catalog, universe: str) -> dict[str, ColumnType]:
+    """The universe's column types in the deployment, as the engine derives them.
+
+    A base table answers from its schema. A view is executed over empty
+    copies of the catalog's base tables, so the engine types its columns
+    without reading any data. A name the catalog cannot resolve answers
+    nothing.
+    """
+    if catalog.is_table(universe):
+        schema = catalog.table(universe).schema
+    elif catalog.is_view(universe):
+        empty = _copy_views(catalog)
+        for table in catalog.tables():
+            empty.add_table(Table(table.name, table.schema, provider=table.provider))
+        try:
+            schema = execute(Query.from_(universe), empty).schema
+        except ReproError:
+            return {}
+    else:
+        return {}
+    return {column.name: column.ctype for column in schema}
+
+
+def _copy_views(catalog: Catalog, skip: str | None = None) -> Catalog:
+    copy = Catalog()
+    for name in catalog.view_names():
+        if name != skip:
+            original = catalog.view(name)
+            copy.add_view(View(name, original.query, description=original.description))
+    return copy
+
+
 def build_replay_catalog(
     catalog: Catalog, universe: str, row: Mapping[str, Any]
 ) -> Catalog:
     """A one-row catalog: the witness as the universe, original views kept.
 
     The universe relation is replaced by a base table holding exactly the
-    witness row (schema inferred from the values, everything nullable);
-    every *other* view of the deployment catalog is carried over unchanged,
+    witness row, everything nullable. Its columns keep the types the
+    deployment gives them (types are inferred from the values only for
+    columns the deployment does not have), so a witness the warehouse could
+    not store — ``5.5`` in an INT column, a time of day in a DATE column —
+    raises :class:`~repro.errors.TypeMismatchError` instead of replaying.
+    Every *other* view of the deployment catalog is carried over unchanged,
     so report queries resolve through the very same view chain the runtime
     uses. Views are lazy, so views over unrelated relations cost nothing.
     """
-    replay = Catalog()
+    types = _universe_types(catalog, universe)
     schema = make_schema(
-        *((name, _column_type(value), True) for name, value in row.items())
+        *(
+            (name, types.get(name) or _column_type(value), True)
+            for name, value in row.items()
+        )
     )
+    for column in schema:
+        value = row[column.name]
+        try:
+            fits = coerce_value(value, column.ctype) == value
+        except TypeMismatchError:
+            fits = False
+        if not fits:
+            raise TypeMismatchError(
+                f"witness value {value!r} does not fit the {column.ctype.name} "
+                f"column {column.name!r} of {universe!r}"
+            )
+    replay = _copy_views(catalog, skip=universe)
     replay.add_table(
         Table.from_rows(universe, schema, [dict(row)], provider="warehouse")
     )
-    for name in catalog.view_names():
-        if name == universe:
-            continue
-        original = catalog.view(name)
-        replay.add_view(
-            View(name, original.query, description=original.description)
-        )
     return replay
 
 
@@ -160,7 +205,8 @@ def replay_escape(
 
     ``fds`` are the declared functional dependencies over the universe: a
     witness violating one describes a row the warehouse cannot contain, so
-    it is rejected (``confirmed=False``) without touching the engine.
+    it is rejected (``confirmed=False``) without touching the engine. So is
+    a witness value the universe's column type cannot hold.
     """
     violated = violated_fd(row, fds)
     if violated is not None:
@@ -172,7 +218,13 @@ def replay_escape(
                 "contains this row"
             ),
         )
-    replay_catalog = build_replay_catalog(catalog, universe, row)
+    try:
+        replay_catalog = build_replay_catalog(catalog, universe, row)
+    except TypeMismatchError as exc:
+        return ReplayOutcome(
+            confirmed=False,
+            detail=f"{exc}; no warehouse instance contains this row",
+        )
     definition = ReportDefinition(
         name=name,
         title="counterexample replay",

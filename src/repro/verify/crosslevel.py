@@ -152,7 +152,7 @@ class VerificationInput:
             metareports=deployment.metareports,
             reports=tuple(deployment.reports.all_current()),
             universe=universe,
-            universe_columns=_columns_of(deployment.catalog, universe),
+            universe_columns=deployment.catalog.output_names(universe),
             plas=deployment.plas,
             source_policies=tuple(_policies_from_registry(deployment.plas)),
         )
@@ -184,19 +184,6 @@ def _policy_applies(policy: SourcePolicy, bases: frozenset[str]) -> bool:
         if base.endswith(f"/{policy.relation}"):
             return True
     return False
-
-
-def _columns_of(catalog: Catalog, relation: str) -> tuple[str, ...]:
-    if catalog.is_table(relation):
-        return tuple(catalog.table(relation).schema.names)
-    query = catalog.view(relation).query
-    names = query.output_names()
-    if names is not None:
-        return names
-    out: list[str] = []
-    for referenced in query.referenced_relations():
-        out.extend(_columns_of(catalog, referenced))
-    return tuple(out)
 
 
 def _trace(result: SolverResult, *steps: str) -> ProofTrace:

@@ -18,9 +18,12 @@ column's candidates. A candidate set containing
   contributes ``(c - b) / a``; fractional boundaries are sampled at the
   rounded float plus both ULP neighbours so the true boundary is
   straddled),
-* values just below/above each threshold (and between adjacent ones),
-* enough extra distinct values to realize every ordering of the columns in
-  one comparison group (group size, capped at :data:`MAX_GROUP_OFFSET`),
+* points in every gap between adjacent thresholds and beyond each end,
+  as many per gap as the comparison group has columns (or every value the
+  gap holds, when it holds fewer), so every ordering of the group's
+  columns relative to each other and to the thresholds is realized (a
+  large group makes a large product, which the solver's evaluation budget
+  turns into UNKNOWN, never into a wrong verdict),
 * for affine pairs, the *crossing points* where two thresholds meet
   (``a1*y + b1 = a2*y + b2``) and the images ``a*v + b`` of every source
   candidate ``v``,
@@ -33,20 +36,31 @@ their relative order matters. Groups linked by a *non-identity* affine
 edge are restricted to exactly one (target, source) column pair — chains
 of affine comparisons leave the fragment and yield UNKNOWN.
 
-Typing assumption: a column whose constants are all ``int`` ranges over
-integers (the warehouse stores typed columns), so ``x > 5 AND x < 6`` is
-reported unsatisfiable. Float constants — including fractional solved
-boundaries such as ``100 / 1.2`` — switch the column to a dense domain,
-adding midpoints between adjacent constants.
+Numbers are dense. A predicate does not say whether its column is INT or
+FLOAT, so every numeric pool is sampled as if the column could hold any
+real: ``x > 5 AND x < 6`` is satisfiable (``x = 5.5``). Reading a column
+whose constants are all integers as an integer column would prove false
+claims on FLOAT columns: a meta-report over ``result > 5`` would be
+proved to satisfy a source policy ``result >= 6`` that the row
+``result = 5.5`` violates. On an INT column the dense reading can at worst
+refute a true claim with a fractional witness, a false alarm that fails
+safe; it never proves a false claim. Every sample is an exact value of
+the column's type that lies strictly inside its gap or beyond its end:
+where float steps round away (integers past 2**53, ``1e16 + 1 == 1e16``)
+the gap is walked through exact integers and adjacent floats instead, so
+``x > 2**60 AND x < 2**60 + 4`` keeps its witness ``2**60 + 1``.
+Datetimes are dense in the same way, down to the microsecond; dates step
+by whole days.
 """
 
 from __future__ import annotations
 
 import datetime
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import AnalysisError
 from repro.relational.expressions import (
@@ -64,7 +78,6 @@ from repro.relational.expressions import (
 
 __all__ = [
     "UnsupportedPredicate",
-    "MAX_GROUP_OFFSET",
     "AffineEdge",
     "PredicateShape",
     "scan_shape",
@@ -72,10 +85,6 @@ __all__ = [
     "domain_size",
     "set_arithmetic_enabled",
 ]
-
-#: Extra distinct values generated around each constant, bounded so huge
-#: column-comparison groups cannot explode the candidate pool.
-MAX_GROUP_OFFSET = 4
 
 #: Feature toggle for the linear-arithmetic fragment. Exists so ablations
 #: (``benchmarks/bench_verify.py``) can measure the PROVED-rate gain of
@@ -143,10 +152,9 @@ class PredicateShape:
 def _boundary_values(boundary: Fraction) -> tuple[int | float, ...]:
     """Pool constants representing one exact rational threshold.
 
-    Integral boundaries stay ``int`` (preserving the int-typing rule);
-    fractional ones become the rounded ``float`` plus both ULP neighbours,
-    so candidates straddle the true boundary even when it is not exactly
-    representable.
+    Integral boundaries stay exact ``int`` values; fractional ones become
+    the rounded ``float`` plus both ULP neighbours, so candidates straddle
+    the true boundary even when it is not exactly representable.
     """
     if boundary.denominator == 1:
         return (int(boundary),)
@@ -406,13 +414,16 @@ class _Groups:
 def _candidates(pool: set[Any], group_size: int) -> list[Any]:
     """Non-NULL candidate values realizing every atom valuation.
 
-    ``group_size`` is how many columns share this pool; offsets up to that
-    size (capped) guarantee enough distinct values for every ordering.
+    ``group_size`` is how many columns share this pool; that many distinct
+    values in each gap between adjacent constants and beyond each end (or
+    all of a gap's values, when it holds fewer) realize every ordering of
+    the group's columns among the constants.
     """
-    offsets = range(1, min(max(group_size, 1), MAX_GROUP_OFFSET) + 1)
+    width = max(group_size, 1)
+    offsets = range(1, width + 1)
     if not pool:
         # No constants: only relative order among group members matters.
-        return list(range(max(group_size, 1) + 1))
+        return list(range(width + 1))
     kinds = {_kind(v) for v in pool}
     if len(kinds) > 1:
         raise UnsupportedPredicate(
@@ -422,46 +433,107 @@ def _candidates(pool: set[Any], group_size: int) -> list[Any]:
     kind = kinds.pop()
     if kind == "bool":
         return [False, True]
-    if kind == "number":
-        out = set(pool)
-        for value in pool:
-            for j in offsets:
-                out.add(value + j)
-                out.add(value - j)
-        if any(isinstance(v, float) for v in pool):
-            ordered = sorted(pool)
+    if kind not in ("number", "datetime", "str", "date"):
+        raise UnsupportedPredicate(
+            f"constants of unsupported type in pool: {sorted(map(repr, pool))}"
+        )
+    ordered = sorted(pool)
+    out = set(ordered)
+    try:
+        if kind == "number":
+            # Dense: ``width`` points inside every gap between adjacent
+            # constants and ``width`` beyond each end, each one exact.
+            bad = [v for v in ordered if isinstance(v, float) and not math.isfinite(v)]
+            if bad:
+                raise UnsupportedPredicate(f"non-finite numeric constants {bad}")
+            out.update(_numbers_beyond(ordered[0], -1, width))
+            out.update(_numbers_beyond(ordered[-1], 1, width))
             for a, b in zip(ordered, ordered[1:]):
-                out.add((a + b) / 2)
-        return sorted(out)
-    if kind == "str":
-        out = set(pool)
-        out.add("")
-        for value in pool:
+                out.update(_between(a, b, width, _ints_above, _floats_above))
+        elif kind == "datetime":
+            day = datetime.timedelta(days=1)
             for j in offsets:
-                out.add(value + "\x00" * j)
-        return sorted(out)
-    if kind == "date":
-        out = set(pool)
-        for value in pool:
-            for j in offsets:
-                out.add(value + datetime.timedelta(days=j))
-                out.add(value - datetime.timedelta(days=j))
-        return sorted(out)
-    if kind == "datetime":
-        # Datetimes are dense (sub-day granularity): day offsets around
-        # each constant plus midpoints between adjacent constants.
-        out = set(pool)
-        for value in pool:
-            for j in offsets:
-                out.add(value + datetime.timedelta(days=j))
-                out.add(value - datetime.timedelta(days=j))
-        ordered = sorted(pool)
-        for a, b in zip(ordered, ordered[1:]):
-            out.add(a + (b - a) / 2)
-        return sorted(out)
-    raise UnsupportedPredicate(
-        f"constants of unsupported type in pool: {sorted(map(repr, pool))}"
-    )
+                out.add(ordered[0] - day * j)
+                out.add(ordered[-1] + day * j)
+            for a, b in zip(ordered, ordered[1:]):
+                out.update(_between(a, b, width, _microseconds_above))
+        elif kind == "str":
+            # ``v + NUL * j`` sorts above ``v`` and below every larger
+            # constant that does not extend it; below the smallest constant,
+            # "" and runs of NUL give as many distinct strings as exist there.
+            out.update(s for s in ["\x00" * j for j in range(width)] if s < ordered[0])
+            for value in ordered:
+                out.update(value + "\x00" * j for j in offsets)
+        else:  # dates are discrete: whole days around each constant
+            for value in ordered:
+                for j in offsets:
+                    out.add(value + datetime.timedelta(days=j))
+                    out.add(value - datetime.timedelta(days=j))
+    except OverflowError as exc:  # constants at the limits of their type
+        raise UnsupportedPredicate(
+            f"cannot sample around constants {sorted(map(repr, pool))}: {exc}"
+        ) from exc
+    return sorted(out)
+
+
+def _numbers_beyond(end: int | float, sign: int, width: int) -> list[int | float]:
+    """``width`` distinct numbers strictly above (``sign`` 1) or below ``end``."""
+    points = [end + sign * j for j in range(1, width + 1)]
+    if len({end, *points}) <= width:
+        # Unit steps vanish against a float this large (``1e16 + 1 ==
+        # 1e16``); exact integers beyond it never do.
+        start = math.floor(end) if sign > 0 else math.ceil(end)
+        points = [start + sign * j for j in range(1, width + 1)]
+    return points
+
+
+def _between(
+    a: Any, b: Any, width: int, *walks: Callable[[Any], Iterator[Any]]
+) -> set[Any]:
+    """``width`` distinct values strictly between ``a`` and ``b``, or all of them.
+
+    Evenly spaced points come first. Where rounding pushes them onto an end
+    or onto each other — integers beyond 2**53, ULP-close solved
+    boundaries, sub-microsecond spacing — the walks in ``walks`` step
+    through the gap value by value from ``a`` until ``width`` values are
+    found; together they enumerate every value of the type that lies
+    there, so a gap that holds fewer than ``width`` values contributes all
+    of them.
+    """
+    try:
+        step = (b - a) / (width + 1)
+        points = {p for p in (a + step * j for j in range(1, width + 1)) if a < p < b}
+    except OverflowError:  # integers beyond the float range
+        points = set()
+    for walk in walks:
+        if len(points) >= width:
+            break
+        for value in itertools.islice(walk(a), width):
+            if not value < b:
+                break
+            points.add(value)
+    return points
+
+
+def _ints_above(a: int | float) -> Iterator[int]:
+    return itertools.count(math.floor(a) + 1)
+
+
+def _floats_above(a: int | float) -> Iterator[float]:
+    try:
+        x = float(a)
+    except OverflowError:
+        return  # a gap this narrow past the float range holds no float
+    if x <= a:
+        x = math.nextafter(x, math.inf)
+    while x < math.inf:
+        yield x
+        x = math.nextafter(x, math.inf)
+
+
+def _microseconds_above(a: datetime.datetime) -> Iterator[datetime.datetime]:
+    tick = datetime.timedelta(microseconds=1)
+    return (a + tick * k for k in itertools.count(1))
 
 
 def _kind(value: Any) -> str:
@@ -536,8 +608,9 @@ def _affine_group_candidates(
     the y constants, the crossings of two affine thresholds, and the
     crossings of an affine threshold with an x constant — within which the
     ordering of all x-thresholds is fixed. For each such source candidate
-    the target pool then contains every threshold image (and neighbours /
-    midpoints via :func:`_candidates`), realizing every x-side ordering.
+    the target pool then contains every threshold image (and points between
+    and beyond them via :func:`_candidates`), realizing every x-side
+    ordering.
     """
     pairs = {(e.target, e.source) for e in affine}
     if len(pairs) > 1 or len(columns) != 2:

@@ -63,7 +63,8 @@ __all__ = [
 #: Bump when unit-key composition or the payload schema changes; a cache
 #: written by an older layout is discarded wholesale instead of misread.
 #: 2: functional dependencies joined the environment token.
-CACHE_FORMAT = 2
+#: 3: base tables in a chain token carry their column types.
+CACHE_FORMAT = 3
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +245,8 @@ def _chain_token(catalog: Catalog, query: Query) -> tuple:
 
     Views contribute their normalized query fingerprint (a view
     redefinition anywhere in the chain changes the token); base tables
-    contribute only their schema — row data is irrelevant because replay
+    contribute only their schema, names and types (replay types the
+    universe's columns from it) — row data is irrelevant because replay
     synthesizes its own instance.
     """
     seen: dict[str, tuple] = {}
@@ -258,7 +260,10 @@ def _chain_token(catalog: Catalog, query: Query) -> tuple:
             seen[name] = ("view", view_query.fingerprint())
             stack.extend(view_query.referenced_relations())
         elif catalog.is_table(name):
-            seen[name] = ("table", tuple(catalog.table(name).schema.names))
+            seen[name] = (
+                "table",
+                tuple((c.name, c.ctype.value) for c in catalog.table(name).schema),
+            )
         else:
             seen[name] = ("missing",)
     return tuple(sorted(seen.items()))

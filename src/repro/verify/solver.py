@@ -4,14 +4,20 @@ Decides satisfiability, falsifiability, implication, and overlap of
 :class:`~repro.relational.expressions.Expr` predicates *exactly* over the
 supported fragment, in two layers:
 
-1. an abstract fast path — negation-normal form, distribution to DNF, and
-   per-branch pruning via the interval/finite-equality domain of
-   :func:`repro.core.containment.conjunction_inconsistent`;
-2. exact fallback — bounded enumeration of the finite candidate domains of
-   :mod:`repro.verify.domain`, evaluating each candidate row with the
-   runtime's own ``Expr.evaluate``. Exactness is by construction: the
-   solver and the enforcement engine share one evaluator, so a ``SAT``
-   witness here is a row the engine itself accepts.
+1. a cheap pre-pass — negation-normal form, distribution to DNF, and
+   :func:`conjunction_inconsistent` on each branch, which decides every
+   column's single-column atoms alone and drops the branches it proves
+   empty before any domain is built;
+2. exact search — bounded enumeration of the finite candidate domains of
+   :mod:`repro.verify.domain` over the surviving branches, evaluating each
+   candidate row with the runtime's own ``Expr.evaluate``. Exactness is by
+   construction: the solver and the enforcement engine share one
+   evaluator, so a ``SAT`` witness here is a row the engine itself
+   accepts.
+
+This is the one predicate reasoner: the compliance checker's
+derivability and CQ containment checks, PLA lint, and the cross-level
+verifier all decide implication through :func:`implication_counterexample`.
 
 Three-valued subtleties this encodes:
 
@@ -36,17 +42,19 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from repro.core.containment import conjunction_inconsistent
 from repro.errors import QueryError
 from repro.relational.expressions import (
     NEGATED_OP,
     And,
+    Col,
     Comparison,
     Expr,
+    InList,
     IsNull,
     Lit,
     Not,
     Or,
+    conjuncts,
 )
 from repro.verify.domain import UnsupportedPredicate, build_domains, domain_size
 
@@ -58,6 +66,7 @@ __all__ = [
     "falsifiable",
     "implication_counterexample",
     "overlap",
+    "conjunction_inconsistent",
     "truth",
 ]
 
@@ -185,8 +194,25 @@ class _Search:
     had_error: bool = False
 
     def run(self) -> SolverResult:
+        conj = _conjoin(self.positives)
+        if conj is None:
+            branches: list[list[Expr]] = [[]]
+        else:
+            dnf = _dnf(_nnf(conj, False))
+            branches = dnf if dnf is not None else [[conj]]
+        # Pruning first means a branch whose constants cannot share one
+        # domain (``a = 1 AND a = 'x'``) is dropped, not fatal to the build.
+        branches = [
+            atoms
+            for atoms in branches
+            if not conjunction_inconsistent(_conjoin(atoms))
+        ]
+        if not branches:
+            return SolverResult(Sat.UNSAT)
         try:
-            self.domains = build_domains(self.positives + self.negatives)
+            self.domains = build_domains(
+                [atom for atoms in branches for atom in atoms] + self.negatives
+            )
         except UnsupportedPredicate as exc:
             return SolverResult(Sat.UNKNOWN, reason=str(exc))
         except Exception as exc:  # fail closed: never crash, never lie
@@ -198,19 +224,11 @@ class _Search:
                 ),
             )
         size = domain_size(self.domains)
-        conj = _conjoin(self.positives)
-        if conj is None:
-            branches: list[list[Expr]] = [[]]
-        else:
-            dnf = _dnf(_nnf(conj, False))
-            branches = dnf if dnf is not None else [[conj]]
         negative_cols: set[str] = set()
         for expr in self.negatives:
             negative_cols |= expr.columns()
         for atoms in branches:
             branch = _conjoin(atoms)
-            if branch is not None and self._provably_empty(branch):
-                continue
             columns = set(negative_cols)
             if branch is not None:
                 columns |= branch.columns()
@@ -229,11 +247,8 @@ class _Search:
                     domain_size=size,
                     reason=f"evaluation budget exhausted over {size} candidates",
                 )
-        # UNSAT requires a *complete* search: every branch fully enumerated
-        # (or soundly pruned), no evaluation error anywhere in this search.
-        # had_error must dominate even when later branches were pruned — a
-        # pruned branch proves nothing about the branch whose evaluation
-        # raised.
+        # UNSAT requires a *complete* search: every surviving branch fully
+        # enumerated, no evaluation error anywhere in this search.
         if self.had_error or self.budget.exhausted:
             return SolverResult(
                 Sat.UNKNOWN,
@@ -248,18 +263,6 @@ class _Search:
         return SolverResult(
             Sat.UNSAT, evaluations=self.budget.spent, domain_size=size
         )
-
-    def _provably_empty(self, branch: Expr) -> bool:
-        """Sound pruning only: an *error* in the pruner must not prune.
-
-        ``conjunction_inconsistent`` is a fast emptiness proof; if it
-        raises on a shape it cannot decompose, the branch is enumerated
-        instead — pruning may only ever remove branches proved empty.
-        """
-        try:
-            return conjunction_inconsistent(branch)
-        except Exception:
-            return False
 
     def _enumerate(
         self, branch: Expr | None, columns: list[str]
@@ -287,6 +290,73 @@ class _Search:
                 continue
             return row
         return None
+
+
+# -- the emptiness pre-pass ---------------------------------------------------
+
+
+def conjunction_inconsistent(predicate: Expr | None) -> bool:
+    """Sound, cheap test that no row makes every conjunct of ``predicate`` True.
+
+    Each column's single-column conjuncts (column-vs-literal comparisons,
+    IN lists, IS [NOT] NULL, and their negations) are decided on their own,
+    by evaluating them over that column's candidate domain — or over the
+    constants of one ``=``/IN conjunct, which every kept value must equal.
+    ``True`` proves the conjunction empty. Conjuncts over several columns
+    or outside that shape are ignored, which only weakens the conjunction,
+    so ``False`` means "not proved empty here": the exact search decides
+    the rest. A column whose candidates cannot be built (constants of
+    mixed types) or whose evaluation raises proves nothing.
+    """
+    by_column: dict[str, list[Expr]] = {}
+    for atom in conjuncts(predicate):
+        column = _single_column(atom)
+        if column is not None:
+            by_column.setdefault(column, []).append(atom)
+    return any(_column_empty(name, atoms) for name, atoms in by_column.items())
+
+
+def _single_column(atom: Expr) -> str | None:
+    """The column a pre-pass atom constrains, or ``None`` if it is not one."""
+    if isinstance(atom, Not):
+        atom = atom.inner
+    if isinstance(atom, Comparison):
+        left, right = atom.left, atom.right
+        if isinstance(left, Col) and isinstance(right, Lit):
+            return left.name
+        if isinstance(left, Lit) and isinstance(right, Col):
+            return right.name
+        return None
+    if isinstance(atom, (InList, IsNull)) and isinstance(atom.target, Col):
+        return atom.target.name
+    return None
+
+
+def _column_empty(column: str, atoms: list[Expr]) -> bool:
+    """Does no value of ``column`` make every one of its ``atoms`` True?"""
+    values: Sequence[Any] | None = None
+    for atom in atoms:
+        if isinstance(atom, Comparison) and atom.op == "=":
+            side = atom.right if isinstance(atom.right, Lit) else atom.left
+            assert isinstance(side, Lit)
+            values = (side.value,)
+            break
+        if isinstance(atom, InList):
+            values = atom.values
+            break
+    if values is None and len(atoms) == 1:
+        return False  # one atom alone: left to the exact search
+    try:
+        if values is None:
+            values = build_domains(atoms)[column]
+        return not any(
+            all(truth(atom.evaluate({column: v})) is True for atom in atoms)
+            for v in values
+        )
+    except (
+        UnsupportedPredicate, QueryError, TypeError, ValueError, ArithmeticError
+    ):
+        return False
 
 
 def _exists(

@@ -98,7 +98,7 @@ class TestCanonicalize:
         c = canonicalize(q, cq_catalog)
         assert len(c.atoms) == 1 and c.atoms[0].relation == "presc"
         assert set(c.head) == {"patient"}
-        assert len(c.constraints) == 1
+        assert len(c.where.columns()) == 1
 
     def test_join_merges_variables(self, cq_catalog):
         q = parse_query("SELECT patient FROM presc JOIN dcost ON drug = drug")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.audit import Auditor
+from repro.audit import AuditLog, Auditor
 from repro.errors import ComplianceError
 
 ROLE_TO_USER = {
@@ -15,11 +15,11 @@ ROLE_TO_USER = {
 
 @pytest.fixture
 def service(scenario):
+    # The session-scoped scenario's audit log collects deliveries from other
+    # test modules; each test here starts from its own empty log.
     svc = scenario.delivery_service()
-    yield svc
-    # The session-scoped scenario shares the audit log; clear our additions.
-    svc.audit_log.records.clear()
-    svc.refusals.clear()
+    svc.audit_log = AuditLog()
+    return svc
 
 
 class TestDeliver:

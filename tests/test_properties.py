@@ -7,8 +7,9 @@ Covered invariants:
 * lineage safety: every derived row's lineage points at existing base rows;
 * k-anonymity post-conditions for arbitrary tables and k;
 * pseudonym consistency (injective on observed values, deterministic);
-* predicate-implication soundness: implication certified ⇒ no witness row
-  satisfies the stronger predicate while failing the weaker;
+* predicate-implication soundness: implication certified ⇒ no row of a
+  brute-force grid (NULL and fractional values) is kept by the stronger
+  predicate and not by the weaker, under keep-only-True evaluation;
 * containment soundness: certified Q1 ⊆ Q2 ⇒ Q1's answers ⊆ Q2's answers
   on arbitrary generated instances.
 """
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.anonymize import (
@@ -27,10 +29,26 @@ from repro.anonymize import (
     mondrian_anonymize,
 )
 from repro.core import is_contained, predicate_implies
-from repro.relational import Catalog, algebra, execute, parse_query
-from repro.relational.expressions import And, Col, Comparison, Expr, Lit
+from repro.relational import (
+    Catalog,
+    algebra,
+    execute,
+    parse_expression,
+    parse_query,
+)
+from repro.relational.expressions import (
+    And,
+    Col,
+    Comparison,
+    InList,
+    IsNull,
+    Lit,
+    Not,
+    Or,
+)
 from repro.relational.table import Table, make_schema
 from repro.relational.types import ColumnType
+from repro.verify import truth
 
 SCHEMA = make_schema(
     ("g", ColumnType.STRING),
@@ -58,12 +76,6 @@ predicate_strategy = st.builds(
     st.sampled_from(["x", "y"]),
     st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
     st.integers(min_value=-30, max_value=30),
-)
-
-conjunction_strategy = st.lists(predicate_strategy, min_size=1, max_size=3).map(
-    lambda parts: parts[0]
-    if len(parts) == 1
-    else And(parts[0], And(parts[1], parts[2]) if len(parts) == 3 else parts[1])
 )
 
 
@@ -175,21 +187,178 @@ class TestPseudonymProperties:
         assert all(p.reidentify(t) == str(v) for v, t in tokens.items())
 
 
-class TestImplicationSoundness:
-    @given(
-        stronger=conjunction_strategy,
-        weaker=conjunction_strategy,
-        rows=rows_strategy,
+# Implication soundness is checked on richer predicates than the algebra
+# laws: NULL and half-integer constants, IN lists, IS [NOT] NULL,
+# column-column comparisons, OR and NOT.
+_IMPLICATION_CONSTANTS = [None] + [
+    k // 2 if k % 2 == 0 else k / 2 for k in range(-6, 7)
+]
+_OPS = ["=", "!=", "<", "<=", ">", ">="]
+_implication_column = st.sampled_from(["x", "y"])
+
+
+def _implication_predicates(constants):
+    constant = st.sampled_from(constants)
+    atom = st.one_of(
+        st.builds(
+            lambda c, op, v: Comparison(op, Col(c), Lit(v)),
+            _implication_column,
+            st.sampled_from(_OPS),
+            constant,
+        ),
+        st.builds(
+            lambda op: Comparison(op, Col("x"), Col("y")), st.sampled_from(_OPS)
+        ),
+        st.builds(
+            lambda c, vs: InList(Col(c), tuple(vs)),
+            _implication_column,
+            st.lists(constant, min_size=1, max_size=3),
+        ),
+        st.builds(IsNull, st.builds(Col, _implication_column), st.booleans()),
     )
-    def test_no_witness_when_certified(self, stronger, weaker, rows):
-        if not predicate_implies(stronger, weaker):
-            return
-        for g, x, y in rows:
-            row = {"g": g, "x": x, "y": y}
-            if stronger.evaluate(row):
-                assert weaker.evaluate(row), (
-                    f"implication unsound: {stronger} => {weaker} on {row}"
-                )
+    return st.recursive(
+        atom,
+        lambda inner: st.one_of(
+            st.builds(And, inner, inner),
+            st.builds(Or, inner, inner),
+            st.builds(Not, inner),
+        ),
+        max_leaves=5,
+    )
+
+
+def _grid(values):
+    return [{"x": x, "y": y} for x in [None] + values for y in [None] + values]
+
+
+implication_strategy = _implication_predicates(_IMPLICATION_CONSTANTS)
+# Eighth steps put three grid values inside every gap between adjacent
+# half-integer constants, so two columns can be ordered inside one gap; a
+# reasoner that treats integer-only constants as an integer column fails.
+_IMPLICATION_GRID = _grid([k / 8 for k in range(-32, 33)])
+
+# Past 2**53 floats are sparser than integers (2.0**60 and its float
+# neighbours are 256 apart), so float arithmetic rounds a point between two
+# integer constants back onto one of them. Every integer near the constants
+# is on the grid.
+_BIG = 2**60
+_BIG_CONSTANTS = [None, float(_BIG), float(_BIG) + 256] + [
+    _BIG + k for k in range(-3, 4)
+]
+large_implication_strategy = _implication_predicates(_BIG_CONSTANTS)
+_LARGE_GRID = _grid(
+    [_BIG + k for k in range(-6, 7)] + [_BIG + 256 + k for k in range(-2, 3)]
+)
+
+
+def _certified_implies_on(grid, stronger, weaker):
+    if not predicate_implies(stronger, weaker):
+        return
+    for row in grid:
+        if truth(stronger.evaluate(row)) is True:
+            assert truth(weaker.evaluate(row)) is True, (
+                f"implication unsound: {stronger} => {weaker} on {row}"
+            )
+
+
+class TestImplicationSoundness:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        stronger=implication_strategy,
+        other=implication_strategy,
+        weaken=st.booleans(),
+    )
+    # Integer-only constants over a column that may hold fractions: a
+    # reasoner reading such a column as integral certifies both.
+    @example(
+        stronger=Comparison(">", Col("x"), Lit(1)),
+        other=Comparison(">=", Col("x"), Lit(2)),
+        weaken=False,
+    )
+    @example(
+        stronger=And(
+            Comparison(">", Col("x"), Lit(0)), Comparison("<", Col("x"), Lit(1))
+        ),
+        other=Comparison("=", Col("y"), Lit(2)),
+        weaken=False,
+    )
+    def test_no_witness_when_certified(self, stronger, other, weaken):
+        # Half the conclusions are widened with the premise itself, so
+        # certified implications are common, not a rare draw.
+        weaker = Or(other, stronger) if weaken else other
+        _certified_implies_on(_IMPLICATION_GRID, stronger, weaker)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        stronger=large_implication_strategy,
+        other=large_implication_strategy,
+        weaken=st.booleans(),
+    )
+    @example(
+        stronger=And(
+            Comparison(">", Col("x"), Lit(_BIG)),
+            Comparison("<", Col("x"), Lit(_BIG + 2)),
+        ),
+        other=Comparison("=", Col("y"), Lit(_BIG)),
+        weaken=False,
+    )
+    def test_no_witness_when_certified_past_float_precision(
+        self, stronger, other, weaken
+    ):
+        weaker = Or(other, stronger) if weaken else other
+        _certified_implies_on(_LARGE_GRID, stronger, weaker)
+
+    @pytest.mark.parametrize(
+        "stronger, weaker",
+        [
+            (
+                Comparison(">", Col("x"), Lit(1e16)),
+                Comparison("<", Col("x"), Lit(100)),
+            ),
+            (
+                parse_expression(
+                    "ts > 1700000000000000000 AND ts < 1700000000000000100"
+                ),
+                Comparison("=", Col("ts"), Lit(0)),
+            ),
+        ],
+    )
+    def test_large_constants_do_not_close_their_gaps(self, stronger, weaker):
+        # 1e16 + 1 == 1e16, and a float midpoint between the two timestamps
+        # rounds onto one of them; the rows x = 10**16 + 1 and
+        # ts = 1700000000000000001 refute both implications.
+        assert not predicate_implies(stronger, weaker)
+
+    @pytest.mark.parametrize(
+        "stronger, weaker",
+        [
+            ("x != 3", "x IS NOT NULL"),
+            ("a = b", "b = a"),
+            ("NOT (a > 1)", "a <= 1"),
+        ],
+    )
+    def test_three_valued_and_column_implications_certified(self, stronger, weaker):
+        # Beyond per-column intervals: the 3VL rule that a comparison is
+        # never True on NULL, column-column symmetry, and NOT.
+        assert predicate_implies(parse_expression(stronger), parse_expression(weaker))
+
+    def test_unrelated_premise_conjuncts_are_not_searched(self):
+        # Only the premise conjuncts linked to the conclusion reach the
+        # solver; enumerating all three columns would exhaust its budget.
+        values = lambda n: tuple(range(n))  # noqa: E731
+        premise = And(
+            InList(Col("a"), values(30)),
+            And(InList(Col("b"), values(30)), InList(Col("c"), values(30))),
+        )
+        assert predicate_implies(premise, InList(Col("a"), values(40)))
+
+    def test_independent_conclusion_columns_are_decided_apart(self):
+        # Column-disjoint parts are separate solver queries: the cross
+        # product of eight columns' candidates would exceed the budget.
+        columns = "abcdefgh"
+        stronger = parse_expression(" AND ".join(f"{c} > 2" for c in columns))
+        weaker = parse_expression(" AND ".join(f"{c} > 1" for c in columns))
+        assert predicate_implies(stronger, weaker)
 
     def test_contradictory_conclusion_is_not_certified(self):
         # Regression: _decompose keeps the last of repeated equalities, so

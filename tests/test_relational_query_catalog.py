@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import CatalogError, QueryError
-from repro.relational import Catalog, Query, View
+from repro.relational import COLUMNAR, ROW, Catalog, Query, View, execute
+from repro.relational.catalog import MAX_VIEW_DEPTH
 from repro.relational.algebra import AggSpec
 from repro.relational.expressions import col
 from repro.relational.table import Table, make_schema
@@ -139,3 +140,64 @@ class TestCatalog:
         cat.add_view(View("v", Query.from_("t")))
         q = Query.from_("v")
         assert cat.base_relations_of_query(q) == frozenset({"t"})
+
+
+class TestOutputNames:
+    """``Catalog.output_names`` names what the engine's execution yields."""
+
+    @pytest.fixture
+    def cat(self):
+        cat = Catalog()
+        cat.add_table(
+            Table.from_rows(
+                "t",
+                make_schema(("k", ColumnType.INT), ("x", ColumnType.INT)),
+                [(1, 10), (2, 20)],
+                provider="p",
+            )
+        )
+        cat.add_table(
+            Table.from_rows(
+                "u",
+                make_schema(("k", ColumnType.INT), ("y", ColumnType.INT)),
+                [(1, 5), (3, 7)],
+                provider="q",
+            )
+        )
+        return cat
+
+    @pytest.mark.parametrize("config", [ROW, COLUMNAR], ids=["row", "columnar"])
+    @pytest.mark.parametrize(
+        "views",
+        [
+            # A colliding join column is qualified by its relation's name.
+            [("jv", Query.from_("t").join("u", [("k", "k")]))],
+            # A set operation is named by its head alone.
+            [("uv", Query.from_("t").union_with(Query.from_("u")))],
+            # Each link of a chain answers for the next.
+            [
+                ("v1", Query.from_("t").project("k", ("x2", col("x")))),
+                ("v2", Query.from_("v1").filter(col("x2") > 0)),
+            ],
+        ],
+        ids=["join_collision", "union", "two_view_chain"],
+    )
+    def test_matches_execution(self, cat, views, config):
+        for name, query in views:
+            cat.add_view(View(name, query))
+        last = views[-1][0]
+        executed = execute(Query.from_(last), cat, config=config)
+        assert cat.output_names(last) == executed.schema.names
+        assert cat.output_names(Query.from_(last)) == executed.schema.names
+
+    def test_explicit_select_list_is_answered_first(self, cat):
+        q = Query.from_("missing").project("a", ("b", col("a")))
+        assert cat.output_names(q) == ("a", "b")
+
+    def test_view_chain_deeper_than_limit_is_refused(self, cat):
+        previous = "t"
+        for i in range(MAX_VIEW_DEPTH + 2):
+            cat.add_view(View(f"d{i}", Query.from_(previous)))
+            previous = f"d{i}"
+        with pytest.raises(CatalogError):
+            cat.output_names(previous)

@@ -250,6 +250,61 @@ class TestCrossLayerProjection:
             )
 
 
+    def test_condition_on_joined_column_of_star_join_view(self):
+        """A ``SELECT *`` view over a join exposes the joined table's
+        columns, so a condition on one of them is enforced, not refused."""
+        cat = Catalog()
+        cat.add_table(
+            Table.from_rows(
+                "exams",
+                make_schema(("k", ColumnType.INT), ("result", ColumnType.STRING)),
+                [(1, "positive"), (2, "normal")],
+                provider="lab",
+            )
+        )
+        cat.add_table(
+            Table.from_rows(
+                "patients",
+                make_schema(("k2", ColumnType.INT), ("disease", ColumnType.STRING)),
+                [(1, "HIV"), (2, "asthma")],
+                provider="hospital",
+            )
+        )
+        cat.add_view(View("jv", Query.from_("exams").join("patients", [("k", "k2")])))
+        mrs = MetaReportSet()
+        mr = MetaReport("mr", Query.from_("jv").project("k", "result", "disease"))
+        registry = PlaRegistry()
+        registry.add(
+            PLA(
+                "p", "lab", PlaLevel.METAREPORT, "mr",
+                (
+                    IntensionalCondition(
+                        "result", parse_expression("disease != 'HIV'"), "suppress_cell"
+                    ),
+                ),
+            )
+        )
+        mr.attach_pla(registry.approve("p"))
+        mrs.add(mr)
+        mrs.register_views(cat)
+        checker = ComplianceChecker(catalog=cat, metareports=mrs)
+        enforcer = ReportLevelEnforcer(catalog=cat)
+        subjects = SubjectRegistry()
+        subjects.purposes.declare("care")
+        subjects.add_role("analyst")
+        subjects.add_user("ann", "analyst")
+
+        report = rpt("SELECT k, result FROM jv")
+        verdict = checker.check_report(report)
+        assert verdict.compliant
+        instance = enforcer.generate(report, subjects.context("ann", "care"), verdict)
+        assert instance.table.schema.names == ("k", "result")
+        assert {r["k"]: r["result"] for r in instance.table.iter_dicts()} == {
+            1: None,
+            2: "normal",
+        }
+
+
 class TestExtensionViewReuse:
     def test_repeat_deliveries_keep_the_catalog_and_its_caches_warm(self):
         """A report over a meta-report that hides its condition column runs

@@ -186,6 +186,111 @@ class TestVer002SourcePolicyEscape:
         assert report.by_code("VER006") == ()
 
 
+def _results_target(result_type):
+    """A ``result > 5`` meta-report checked against ``result >= 6`` at the source."""
+    from repro.core.annotations import AttributeAccess
+    from repro.core.metareport import MetaReport, MetaReportSet
+    from repro.core.pla import PlaRegistry
+    from repro.relational import Catalog, Table, View, make_schema
+    from repro.relational.types import ColumnType
+    from repro.verify import SourcePolicy
+
+    catalog = Catalog()
+    schema = make_schema(("patient", ColumnType.STRING), ("result", result_type))
+    catalog.add_table(
+        Table.from_rows("universe", schema, [("p1", 7)], provider="lab")
+    )
+    query = Query.from_("universe").filter(
+        Comparison(">", Col("result"), Lit(5))
+    ).project("patient", "result")
+    catalog.add_view(View("mr_results", query))
+    registry = PlaRegistry()
+    registry.add(
+        PLA(
+            name="pla_mr_results",
+            owner="lab",
+            level=PlaLevel.METAREPORT,
+            target="mr_results",
+            annotations=(AttributeAccess("patient", frozenset({"analyst"})),),
+        )
+    )
+    metareports = MetaReportSet()
+    metareports.add(
+        MetaReport(
+            "mr_results", query, pla=registry.approve("pla_mr_results")
+        )
+    )
+    return VerificationInput(
+        catalog=catalog,
+        metareports=metareports,
+        reports=(),
+        universe="universe",
+        universe_columns=("patient", "result"),
+        plas=registry,
+        source_policies=(
+            SourcePolicy(
+                "results-from-six",
+                "universe",
+                Comparison(">=", Col("result"), Lit(6)),
+            ),
+        ),
+    )
+
+
+class TestVer002FloatColumn:
+    """Integer constants over a FLOAT column: numbers must be read densely."""
+
+    def test_fractional_escape_refuted_and_replayed(self):
+        from repro.relational.types import ColumnType
+
+        report = DeploymentVerifier(_results_target(ColumnType.FLOAT)).verify()
+        (check,) = report.by_code("VER002")
+        assert check.verdict is Verdict.REFUTED
+        ce = check.counterexample
+        assert ce is not None
+        assert ce.row["result"] == 5.5
+        assert ce.replay.confirmed
+        assert report.by_code("VER006") == ()
+
+
+class TestVer002IntColumn:
+    """The same claim over an INT column: the fractional witness cannot replay."""
+
+    def test_fractional_witness_fails_replay_and_raises_drift(self):
+        from repro.relational.types import ColumnType
+
+        report = DeploymentVerifier(_results_target(ColumnType.INT)).verify()
+        (check,) = report.by_code("VER002")
+        # The solver does not know column types, so it still refutes with
+        # 5.5; the replay types ``result`` as the deployment does and
+        # cannot store that row, so the refutation is flagged, not trusted.
+        assert check.verdict is Verdict.REFUTED
+        ce = check.counterexample
+        assert ce is not None
+        assert ce.row["result"] == 5.5
+        assert not ce.replay.confirmed
+        assert "INT column 'result'" in ce.replay.detail
+        (drift,) = report.by_code("VER006")
+        assert "INT column 'result'" in drift.message
+
+    def test_replay_catalog_keeps_the_deployment_types(self):
+        from repro.errors import TypeMismatchError
+        from repro.relational.types import ColumnType
+        from repro.verify import build_replay_catalog
+
+        catalog = _results_target(ColumnType.INT).catalog
+        replay = build_replay_catalog(
+            catalog, "universe", {"patient": "p1", "result": 6.0}
+        )
+        result = replay.table("universe").schema.column("result")
+        assert result.ctype is ColumnType.INT
+        assert replay.table("universe").rows == [("p1", 6)]
+        with pytest.raises(TypeMismatchError):
+            build_replay_catalog(
+                catalog, "universe", {"patient": "p1", "result": 5.5}
+            )
+
+
 class TestVer003Ver005DegeneratePla:
     """An unsatisfiable PLA condition suppresses the whole view."""
 

@@ -318,14 +318,17 @@ class TestLinearArithmeticAtoms:
         cost = refuted.witness["cost"]
         assert cost * 1.2 > 100 and not cost > 90
 
-    def test_integer_typing_survives_integral_boundaries(self):
-        # 2a > 10 solves to the integral boundary 5; with int constants the
-        # pool stays integer-typed, so the (5, 6) gap is still empty.
+    def test_integral_boundaries_keep_numbers_dense(self):
+        # 2a > 10 solves to the integral boundary 5. Numbers are dense, so
+        # the (5, 6) gap still holds a witness, and it is not an integer.
         pred = And(
             Comparison(">", Arith("*", Col("a"), Lit(2)), Lit(10)),
             Comparison("<", Col("a"), Lit(6)),
         )
-        assert satisfiable(pred).status is Sat.UNSAT
+        result = satisfiable(pred)
+        assert result.status is Sat.SAT
+        assert 5 < result.witness["a"] < 6
+        assert result.witness["a"] != int(result.witness["a"])
 
     def test_fractional_boundary_forces_dense_typing(self):
         # 2a > 11 has the fractional boundary 5.5 — the pool densifies and

@@ -217,12 +217,16 @@ class TestThreeValuedEdges:
         assert implication_counterexample(ne, not_eq).status is Sat.UNSAT
         assert implication_counterexample(not_eq, ne).status is Sat.UNSAT
 
-    def test_integer_gap_is_unsatisfiable(self):
-        # int-only constants ⇒ integer domain: no value strictly between 5, 6.
+    def test_integer_gap_is_satisfiable_between_integers(self):
+        # Numbers are dense even when every constant is an int: a FLOAT
+        # column holds 5.5, so reading the gap as empty would be unsound.
         pred = And(
             Comparison(">", Col("a"), Lit(5)), Comparison("<", Col("a"), Lit(6))
         )
-        assert satisfiable(pred).status is Sat.UNSAT
+        result = satisfiable(pred)
+        assert result.status is Sat.SAT
+        assert 5 < result.witness["a"] < 6
+        assert result.witness["a"] != int(result.witness["a"])
 
     def test_float_gap_is_satisfiable(self):
         pred = And(
@@ -232,6 +236,100 @@ class TestThreeValuedEdges:
         result = satisfiable(pred)
         assert result.status is Sat.SAT
         assert 5.0 < result.witness["a"] < 6.0
+
+    def test_five_column_chain_above_one_constant(self):
+        # A comparison group needs as many distinct values per gap as it
+        # has columns; four per gap made this chain "unsatisfiable".
+        columns = [Col(f"x{i}") for i in range(5)]
+        pred = Comparison(">", columns[0], Lit(0))
+        for low, high in zip(columns, columns[1:]):
+            pred = And(pred, Comparison("<", low, high))
+        result = satisfiable(pred)
+        assert result.status is Sat.SAT
+        assert truth(pred.evaluate(result.witness)) is True
+
+    def test_strings_ordered_below_the_smallest_constant(self):
+        # "" and "\x00" both sort below 'a'; one candidate there is not enough.
+        pred = And(
+            Comparison("<", Col("b"), Col("d")), Comparison("<", Col("d"), Lit("a"))
+        )
+        result = satisfiable(pred)
+        assert result.status is Sat.SAT
+        assert truth(pred.evaluate(result.witness)) is True
+
+    def test_datetimes_ordered_inside_a_sub_day_gap(self):
+        import datetime
+
+        start = datetime.datetime(2024, 1, 1, 9, 0)
+        pred = And(
+            And(
+                Comparison(">", Col("t1"), Lit(start)),
+                Comparison("<", Col("t2"), Lit(start + datetime.timedelta(hours=1))),
+            ),
+            Comparison("<", Col("t1"), Col("t2")),
+        )
+        result = satisfiable(pred)
+        assert result.status is Sat.SAT
+        assert truth(pred.evaluate(result.witness)) is True
+
+    def test_gap_between_large_integers_keeps_an_integer_witness(self):
+        # Past 2**53 a float midpoint rounds back onto a constant; the gap
+        # still holds the integers 2**60 + 1 .. 2**60 + 3.
+        low = 2**60
+        pred = And(
+            Comparison(">", Col("a"), Lit(low)), Comparison("<", Col("a"), Lit(low + 4))
+        )
+        result = satisfiable(pred)
+        assert result.status is Sat.SAT
+        assert type(result.witness["a"]) is int
+        assert low < result.witness["a"] < low + 4
+
+    def test_large_integer_gap_holding_fewer_values_than_columns(self):
+        # Three ordered columns inside a gap that holds two integers and no
+        # float cannot all differ, but two of them can.
+        low = 2**60
+        inside = And(
+            Comparison(">", Col("a"), Lit(low)), Comparison("<", Col("c"), Lit(low + 3))
+        )
+        two = And(inside, Comparison("<", Col("a"), Col("c")))
+        three = And(
+            And(inside, Comparison("<", Col("a"), Col("b"))),
+            Comparison("<", Col("b"), Col("c")),
+        )
+        assert satisfiable(two).status is Sat.SAT
+        assert satisfiable(three).status is Sat.UNSAT
+
+    def test_above_a_large_float_constant(self):
+        # 1e16 + 1 == 1e16 in float arithmetic; the integer above is exact.
+        result = satisfiable(Comparison(">", Col("a"), Lit(1e16)))
+        assert result.status is Sat.SAT
+        assert result.witness["a"] > 1e16
+        below = satisfiable(Comparison("<", Col("a"), Lit(-1e16)))
+        assert below.status is Sat.SAT
+        assert below.witness["a"] < -1e16
+
+    def test_datetimes_microseconds_apart(self):
+        import datetime
+
+        start = datetime.datetime(2024, 1, 1, 9, 0)
+        tick = datetime.timedelta(microseconds=1)
+        # A four-column group spreads four points over a 2 µs gap; each step
+        # rounds to zero microseconds, and the one datetime inside remains.
+        columns = [Col(f"t{i}") for i in range(4)]
+        gap = And(
+            Comparison(">", columns[0], Lit(start)),
+            Comparison("<", columns[0], Lit(start + 2 * tick)),
+        )
+        for low, high in zip(columns, columns[1:]):
+            gap = And(gap, Comparison("<", low, high))
+        result = satisfiable(gap)
+        assert result.status is Sat.SAT
+        assert result.witness["t0"] == start + tick
+        adjacent = And(
+            Comparison(">", Col("t"), Lit(start)),
+            Comparison("<", Col("t"), Lit(start + tick)),
+        )
+        assert satisfiable(adjacent).status is Sat.UNSAT
 
     def test_contradictory_range_is_unsatisfiable(self):
         pred = And(
