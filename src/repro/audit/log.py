@@ -43,13 +43,14 @@ class DisclosureRecord:
     fault_cause: str = ""  # which source(s) were down, and how
     chain_hash: str = ""
 
-    def payload(self) -> str:
+    def payload(self, *, trace: bool = True) -> str:
         """Canonical serialization (hashed into the chain).
 
         The trace ID and degradation marker are appended only when present,
         so logs written with observability disabled against healthy sources
         are byte-identical (fields *and* chain hashes) to the
-        pre-observability format.
+        pre-observability format. ``trace=False`` leaves the trace ID out:
+        the payload the same record would have had with observability off.
         """
         fields = [
             str(self.sequence),
@@ -65,7 +66,7 @@ class DisclosureRecord:
             ",".join(self.obligations_applied),
             str(self.suppressed_rows),
         ]
-        if self.trace_id:
+        if trace and self.trace_id:
             fields.append(self.trace_id)
         if self.degraded:
             fields.append(f"DEGRADED:{self.fault_cause}")
@@ -129,13 +130,13 @@ class AuditLog:
                 degraded=instance.degraded,
                 fault_cause=instance.fault_cause,
             )
-            chained = DisclosureRecord(
-                **{**record.__dict__, "chain_hash": self._hash(record)}
-            )
-            self.records.append(chained)
+            # The record is not published yet, so its chain hash is set in
+            # place rather than by building a second frozen copy.
+            object.__setattr__(record, "chain_hash", self._hash(record))
+            self.records.append(record)
             if self.on_record is not None:
-                self.on_record(chained, instance)
-        return chained
+                self.on_record(record, instance)
+        return record
 
     def _hash(self, record: DisclosureRecord) -> str:
         previous = self.records[-1].chain_hash if self.records else self.GENESIS

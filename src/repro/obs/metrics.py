@@ -20,6 +20,15 @@ dict, so each metric carries its own lock — increments from concurrent
 delivery workers never lose counts, and snapshot methods (``value``,
 ``samples``) see consistent states. The lock is per-metric (not
 per-registry) to keep unrelated hot counters from contending.
+
+Label keys: a label tuple is validated and converted with ``str`` the
+first time a metric sees it, and the converted key is reused after that,
+so a repeated observation costs one dict lookup before its locked update.
+Only tuples of plain ``str`` values are remembered (at most
+:data:`MAX_CACHED_KEYS` per metric): their key is the tuple itself, and no
+other builtin value compares equal to a string. ``(True,)``, ``(1,)`` and
+``(1.0,)`` hash and compare equal, so such tuples are converted on every
+call and keep separate samples (``"True"``, ``"1"``, ``"1.0"``).
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
+    "MAX_CACHED_KEYS",
     "get_registry",
 ]
 
@@ -45,6 +55,10 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
     0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
+
+
+#: Label tuples each metric remembers as already validated and converted.
+MAX_CACHED_KEYS = 1024
 
 
 class MetricError(ReproError):
@@ -63,13 +77,24 @@ class _Metric:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._lock = threading.Lock()
+        #: Validated all-``str`` label tuples (each is its own key).
+        self._keys: dict[tuple, tuple] = {}
 
-    def _labels(self, labels: tuple) -> tuple:
+    def _key(self, labels: tuple) -> tuple:
+        """Validate ``labels`` and convert them to a sample key.
+
+        Hot paths try ``self._keys.get(labels)`` first and call this only
+        on a miss.
+        """
         if len(labels) != len(self.labelnames):
             raise MetricError(
                 f"{self.name}: expected {len(self.labelnames)} label value(s) "
                 f"for {self.labelnames}, got {labels!r}"
             )
+        if all(type(v) is str for v in labels):
+            if len(self._keys) < MAX_CACHED_KEYS:
+                self._keys[labels] = labels
+            return labels
         return tuple(str(v) for v in labels)
 
 
@@ -87,7 +112,9 @@ class Counter(_Metric):
             raise MetricError(
                 f"{self.name}: counters are monotonic; cannot add {amount}"
             )
-        key = self._labels(labels)
+        key = self._keys.get(labels)
+        if key is None:
+            key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -115,12 +142,16 @@ class Gauge(_Metric):
         self._values: dict[tuple, float] = {}
 
     def set(self, value: float, labels: tuple = ()) -> None:
-        key = self._labels(labels)
+        key = self._keys.get(labels)
+        if key is None:
+            key = self._key(labels)
         with self._lock:
             self._values[key] = float(value)
 
     def inc(self, amount: float = 1.0, labels: tuple = ()) -> None:
-        key = self._labels(labels)
+        key = self._keys.get(labels)
+        if key is None:
+            key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -164,22 +195,27 @@ class Histogram(_Metric):
                 f"{self.name}: buckets must be non-empty and strictly increasing"
             )
         self.buckets = bounds
-        # per label set: [bucket counts..., +Inf count], sum
-        self._data: dict[tuple, tuple[list[int], float]] = {}
+        # per label set: [bucket counts..., +Inf count, sum], updated in place
+        self._data: dict[tuple, list] = {}
 
     def observe(self, value: float, labels: tuple = ()) -> None:
-        key = self._labels(labels)
+        key = self._keys.get(labels)
+        if key is None:
+            key = self._key(labels)
+        slot = bisect_left(self.buckets, value)
         with self._lock:
             entry = self._data.get(key)
             if entry is None:
-                entry = ([0] * (len(self.buckets) + 1), 0.0)
-                self._data[key] = entry
-            counts, total = entry
-            counts[bisect_left(self.buckets, value)] += 1
-            self._data[key] = (counts, total + value)
+                entry = self._data[key] = [0] * (len(self.buckets) + 1) + [0.0]
+            entry[slot] += 1
+            entry[-1] += value
 
     def _value_locked(self, key: tuple) -> dict[str, Any]:
-        counts, total = self._data.get(key, ([0] * (len(self.buckets) + 1), 0.0))
+        entry = self._data.get(key)
+        if entry is None:
+            counts, total = [0] * (len(self.buckets) + 1), 0.0
+        else:
+            counts, total = entry[:-1], entry[-1]
         return {
             "buckets": tuple(zip(self.buckets, counts[:-1])),
             "inf": counts[-1],

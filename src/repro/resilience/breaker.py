@@ -17,7 +17,7 @@ import enum
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterator, TypeVar
 
 from repro.errors import CircuitOpenError, FaultError
 from repro.obs import instrument
@@ -92,7 +92,13 @@ class CircuitBreaker:
             return self._state
 
     def allow(self) -> bool:
-        """May a call proceed right now? (Reserves a half-open slot.)"""
+        """May a call proceed right now? (Reserves a half-open slot.)
+
+        A closed breaker answers without its lock: reading the state is
+        atomic, and a failure recorded concurrently orders after this call.
+        """
+        if self._state is BreakerState.CLOSED:
+            return True
         with self._lock:
             state = self.state
             if state is BreakerState.CLOSED:
@@ -107,6 +113,9 @@ class CircuitBreaker:
     # -- outcomes ------------------------------------------------------------
 
     def record_success(self) -> None:
+        # Closed with no failures counted: there is nothing to reset.
+        if self._state is BreakerState.CLOSED and not self._consecutive_failures:
+            return
         with self._lock:
             if self._state is BreakerState.HALF_OPEN:
                 self._half_open_inflight = 0
@@ -126,8 +135,8 @@ class CircuitBreaker:
             ):
                 self._open()
 
-    def call(self, fn: Callable[[], T]) -> T:
-        """Run ``fn`` through the breaker.
+    def call(self, fn: Callable[..., T], *args: Any, **kwargs: Any) -> T:
+        """Run ``fn(*args, **kwargs)`` through the breaker.
 
         Rejected calls raise :class:`CircuitOpenError` without invoking
         ``fn``; only :class:`~repro.errors.FaultError` outcomes count as
@@ -139,7 +148,7 @@ class CircuitBreaker:
                 f"call rejected without contacting the source"
             )
         try:
-            result = fn()
+            result = fn(*args, **kwargs)
         except FaultError:
             self.record_failure()
             raise
@@ -181,6 +190,11 @@ class BreakerRegistry:
         self._breakers: dict[str, CircuitBreaker] = {}
 
     def get(self, name: str) -> CircuitBreaker:
+        # A known source's breaker is read without the lock; only creation
+        # takes it, and checks again under it.
+        breaker = self._breakers.get(name)
+        if breaker is not None:
+            return breaker
         with self._lock:
             breaker = self._breakers.get(name)
             if breaker is None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Any, Callable, TypeVar
 
 from repro.resilience.breaker import BreakerConfig, BreakerRegistry
 from repro.resilience.faults import FaultInjector, named_plan
@@ -58,29 +58,34 @@ class ResiliencePolicy:
     def call(
         self,
         target: str,
-        fn: Callable[[], T],
-        *,
+        fn: Callable[..., T],
+        *args: Any,
         deadline: Deadline | None = None,
     ) -> T:
-        """Run ``fn`` as a guarded source/ETL call against ``target``."""
+        """Run ``fn(*args)`` as a guarded source/ETL call against ``target``.
+
+        Each attempt of the retry loop runs the injector's guard, then
+        ``fn``; the breaker, when present, wraps the whole loop.
+        """
+        injector = self.injector
 
         def guarded() -> T:
-            if self.injector is not None:
-                self.injector.guard(target, deadline=deadline)
-            return fn()
+            if injector is not None:
+                injector.guard(target, deadline=deadline)
+            return fn(*args)
 
-        def attempt() -> T:
-            return call_with_retry(
+        if self.breakers is not None:
+            return self.breakers.get(target).call(
+                call_with_retry,
                 guarded,
                 self.retry,
                 target=target,
                 deadline=deadline,
                 sleep=self.sleep,
             )
-
-        if self.breakers is not None:
-            return self.breakers.get(target).call(attempt)
-        return attempt()
+        return call_with_retry(
+            guarded, self.retry, target=target, deadline=deadline, sleep=self.sleep
+        )
 
 
 @dataclass
@@ -116,7 +121,7 @@ class DeliveryResilience:
 
     def check_source(self, source: str, *, deadline: Deadline | None = None) -> None:
         """Probe one source through the full injector→retry→breaker path."""
-        self.policy.call(source, lambda: self.probe(source), deadline=deadline)
+        self.policy.call(source, self.probe, source, deadline=deadline)
 
 
 # ---------------------------------------------------------------------------

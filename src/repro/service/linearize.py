@@ -31,7 +31,7 @@ record before hashing, so the check is observability-independent.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.errors import ComplianceError, ServiceError
@@ -60,40 +60,41 @@ def payload_hash(instance: "ReportInstance") -> str:
     Covers the definition identity (name + version), the consumer, the full
     table (schema names and every row), and the enforcement outcome
     (suppressed rows, obligations, degradation state) — two deliveries hash
-    equal iff they are observably identical.
+    equal iff they are observably identical. The parts are hashed as one
+    ``repr`` of a tuple: every part is built from strings, numbers, dates,
+    booleans and ``None``, whose ``repr`` is unambiguous (strings are quoted
+    and escaped, ``1`` and ``1.0`` differ), and the tuple's delimiters keep
+    the parts apart.
     """
-    h = hashlib.sha256()
-
-    def feed(part: object) -> None:
-        h.update(repr(part).encode("utf-8"))
-        h.update(b"\x1f")
-
-    feed(instance.definition.name)
-    feed(instance.definition.version)
-    feed(instance.consumer)
-    feed(instance.table.schema.names)
-    for row in instance.table.rows:
-        feed(row)
-    feed(instance.suppressed_rows)
-    feed(instance.obligations_applied)
-    feed(instance.degraded)
-    feed(instance.degraded_sources)
-    feed(instance.fault_cause)
-    return h.hexdigest()
+    table = instance.table
+    observable = (
+        instance.definition.name,
+        instance.definition.version,
+        instance.consumer,
+        table.schema.names,
+        table.rows,
+        instance.suppressed_rows,
+        instance.obligations_applied,
+        instance.degraded,
+        instance.degraded_sources,
+        instance.fault_cause,
+    )
+    return hashlib.sha256(repr(observable).encode("utf-8")).hexdigest()
 
 
 def chain_digest(previous: str, record: "DisclosureRecord") -> str:
-    """Trace-independent audit chain: hash the record with its trace ID
-    stripped, chained over ``previous``.
+    """Trace-independent audit chain: the trace-free payload over ``previous``.
 
-    Trace IDs are execution-local observability metadata — a live run and
-    its serial replay can never share them, so the raw audit chain is only
+    The record's payload is hashed without its trace ID. Trace IDs are
+    execution-local observability metadata — a live run and its serial
+    replay can never share them, so the raw audit chain is only
     byte-comparable across runs with tracing off. This digest is what the
     linearizability check compares instead; with observability disabled it
     is bit-identical to the audit log's own chain.
     """
-    stripped = replace(record, trace_id="", chain_hash="")
-    return hashlib.sha256((previous + stripped.payload()).encode()).hexdigest()
+    return hashlib.sha256(
+        (previous + record.payload(trace=False)).encode()
+    ).hexdigest()
 
 
 @dataclass

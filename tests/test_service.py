@@ -399,6 +399,77 @@ def _ops_strategy(n_reports=8):
     )
 
 
+class TestPayloadHash:
+    """The commit log's payload digest: equal iff observably identical."""
+
+    @pytest.fixture(scope="class")
+    def delivered(self):
+        scenario = small_scenario()
+        service = scenario.delivery_service()
+        service.resilience = None
+        for definition in scenario.workload:
+            try:
+                instance = service.deliver(
+                    definition.name, **_compliant_args(definition)
+                )
+            except Exception:
+                continue
+            if len(instance.table) and len(instance.table.schema.names) > 1:
+                return instance
+        pytest.fail("no compliant multi-column report in the small deployment")
+
+    @staticmethod
+    def _with_rows(instance, rows):
+        from dataclasses import replace as dc_replace
+
+        from repro.relational.table import Table
+
+        table = instance.table
+        return dc_replace(
+            instance,
+            table=Table.derived(
+                table.name, table.schema, rows, table.provenance, provider=table.provider
+            ),
+        )
+
+    def test_identical_instances_hash_equal(self, delivered):
+        copy = self._with_rows(delivered, list(delivered.table.rows))
+        assert copy is not delivered
+        assert payload_hash(copy) == payload_hash(delivered)
+
+    def test_one_cell_changes_the_hash(self, delivered):
+        rows = list(delivered.table.rows)
+        first = rows[0]
+        rows[0] = (f"{first[0]}x",) + tuple(first[1:])
+        assert payload_hash(self._with_rows(delivered, rows)) != payload_hash(
+            delivered
+        )
+
+    def test_int_and_float_cells_hash_differently(self, delivered):
+        rows = list(delivered.table.rows)
+        as_int = self._with_rows(delivered, [(1,) + tuple(rows[0][1:])] + rows[1:])
+        as_float = self._with_rows(
+            delivered, [(1.0,) + tuple(rows[0][1:])] + rows[1:]
+        )
+        assert payload_hash(as_int) != payload_hash(as_float)
+
+    def test_degraded_sources_alone_change_the_hash(self, delivered):
+        from dataclasses import replace as dc_replace
+
+        one = dc_replace(delivered, degraded=True, degraded_sources=("a/x",))
+        other = dc_replace(delivered, degraded=True, degraded_sources=("a/y",))
+        assert payload_hash(one) != payload_hash(other)
+        assert payload_hash(one) != payload_hash(delivered)
+
+    def test_a_cell_cannot_pose_as_a_part_boundary(self, delivered):
+        # Moving text between the last cell and the next part must show.
+        from dataclasses import replace as dc_replace
+
+        one = dc_replace(delivered, fault_cause="b", obligations_applied=("a",))
+        other = dc_replace(delivered, fault_cause="", obligations_applied=("a", "b"))
+        assert payload_hash(one) != payload_hash(other)
+
+
 class TestLinearizability:
     @settings(
         max_examples=200,
