@@ -5,19 +5,19 @@ on the meta-reports are used to determine if the new report is
 privacy-compliant. This can be often done easily as the reports can, at
 least conceptually, be expressed as a subset or view over a meta-report."
 
-Two checks, and one predicate reasoner under both:
+One check, over one canonical form (:func:`canonicalize`: view chains
+inlined, column equalities folded into the atoms, the rest of WHERE kept
+as a residual predicate), which verification's report regions also read:
 
-* :func:`check_derivability` — the pragmatic check used by the compliance
-  engine: a report query is derivable from a meta-report if its relations,
-  columns, predicate, and aggregation can all be re-expressed over the
-  meta-report's output. Sound under the shared-universe assumption (both
-  are carved from the same star join), which is how meta-reports are built.
-* :func:`is_contained` — genuine conjunctive-query containment via the
+* :func:`is_contained` — conjunctive-query containment via the
   homomorphism theorem (Chandra–Merlin): Q1 ⊆ Q2 is reported only when a
   containment mapping exists *and* Q1's residual WHERE implies Q2's,
   mapped onto Q1's variables.
+* :func:`check_derivability` — the compliance engine's check: such a
+  mapping from the meta-report onto the report's select-project-join core,
+  plus the column-exposure, UNION and aggregation rules.
 
-Both decide predicate implication with :func:`predicate_implies`, which
+Predicate implication is decided by :func:`predicate_implies`, which
 asks the verifier's exact three-valued solver
 (:mod:`repro.verify.solver`) — the same reasoner behind PLA lint and the
 cross-level proofs. It answers False whenever it cannot certify an
@@ -31,23 +31,14 @@ import itertools
 import threading
 from functools import reduce
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Iterator
 
 from repro.cache import LRUCache
-from repro.errors import QueryError
+from repro.errors import CatalogError, QueryError
 from repro.obs import instrument
 from repro.obs.trace import TRACER
-from repro.relational.catalog import Catalog
-from repro.relational.expressions import (
-    And,
-    Col,
-    Comparison,
-    Expr,
-    InList,
-    IsNull,
-    Lit,
-    conjuncts,
-)
+from repro.relational.catalog import MAX_VIEW_DEPTH, Catalog, joined_names
+from repro.relational.expressions import And, Col, Comparison, Expr, conjuncts
 from repro.relational.query import Query
 
 __all__ = [
@@ -57,6 +48,7 @@ __all__ = [
     "source_columns_used",
     "CanonicalQuery",
     "canonicalize",
+    "spj_core",
     "is_contained",
     "NotConjunctive",
     "proof_cache_stats",
@@ -187,6 +179,288 @@ def _linked_parts(
 
 
 # ---------------------------------------------------------------------------
+# The canonical form: one view-inlining walk
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Atom:
+    relation: str
+    variables: tuple[int, ...]  # one variable id per column of the relation
+
+
+@dataclass
+class CanonicalQuery:
+    """A conjunctive query in canonical form.
+
+    Variables are integers, named ``v<id>`` inside expressions. ``head``
+    maps each output column to its term: ``Col("v<id>")``, an expression
+    over variables for a computed column, or None for a column computed
+    from another computed column. ``where`` is the residual predicate.
+    """
+
+    atoms: list[_Atom] = field(default_factory=list)
+    head: dict[str, Expr | None] = field(default_factory=dict)
+    where: Expr | None = None
+
+
+#: A column's term during the walk: a variable id, an expression over
+#: ``v<id>`` names, or None.
+_Term = int | Expr | None
+#: The columns in scope, by visible name: (FROM relation, its column, term).
+_Scope = dict[str, tuple[str, str, _Term]]
+
+
+def spj_core(query: Query) -> Query:
+    """A SELECT block's FROM, JOINs and WHERE, its whole FROM scope as head:
+    the rows it reads before GROUP BY, HAVING, ORDER BY, LIMIT, DISTINCT."""
+    return Query(source=query.source, joins=query.joins, where=query.where)
+
+
+def canonicalize(
+    query: Query, catalog: Catalog, *, universe: str | None = None
+) -> CanonicalQuery:
+    """Canonical form of a conjunctive query, view chains inlined.
+
+    Views are replaced by their definitions down to base tables (or to
+    ``universe``, kept as one atom), at most ``MAX_VIEW_DEPTH`` deep; one
+    that aggregates, is a UNION, outer-joins or carries a LIMIT raises
+    :class:`NotConjunctive`. Column equalities in ON and WHERE fold into the
+    atoms; other WHERE conjuncts stay in the residual, outer blocks first.
+    """
+    walk = _Inliner(catalog, universe)
+    outputs, parts = walk.block(query, 0, "query")
+    find = walk.find
+
+    def rooted(expr: Expr) -> Expr:
+        return expr.substitute({n: f"v{find(int(n[1:]))}" for n in expr.columns()})
+
+    renamed = [rooted(part) for part in parts]
+    return CanonicalQuery(
+        atoms=[_Atom(r, tuple([find(v) for v in vs])) for r, vs in walk.atoms],
+        head={
+            name: Col(f"v{find(term)}") if isinstance(term, int)
+            else None if term is None else rooted(term)
+            for name, term in outputs
+        },
+        where=reduce(And, renamed) if renamed else None,
+    )
+
+
+class _Inliner:
+    """Atoms, union-find over variables, and residual conjuncts of one walk."""
+
+    def __init__(self, catalog: Catalog, universe: str | None) -> None:
+        self.catalog = catalog
+        self.universe = universe
+        self.parent: list[int] = []
+        self.atoms: list[tuple[str, list[int]]] = []
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def equate(self, a: int, b: int) -> None:
+        a, b = self.find(a), self.find(b)
+        if a != b:
+            self.parent[b] = a
+
+    def block(
+        self, query: Query, depth: int, what: str
+    ) -> tuple[list[tuple[str, _Term]], list[Expr]]:
+        """One SELECT block's output terms and residual conjuncts."""
+        if query.set_ops:
+            raise NotConjunctive(f"{what} is a set operation (UNION)")
+        if query.is_aggregate or query.having is not None:
+            raise NotConjunctive(f"{what} aggregates")
+        if query.limit_n is not None:
+            raise NotConjunctive(f"{what} carries a LIMIT")
+        scope, parts = self.relation(query.source, depth)
+        left = query.source
+        for clause in query.joins:
+            if clause.how not in ("inner", "cross"):
+                raise NotConjunctive(f"{what} has a {clause.how} outer join")
+            right, right_parts = self.relation(clause.table, depth)
+            for lname, rname in clause.on:
+                self.equate(_variable(scope, lname), _variable(right, rname))
+            names = joined_names(tuple(scope), left, tuple(right), clause.table)
+            scope = dict(zip(names, [*scope.values(), *right.values()]))
+            left = f"{left}_{clause.table}"
+            parts += right_parts
+        parts = self.predicate(query.where, scope) + parts
+        if not query.select:
+            return [(name, entry[2]) for name, entry in scope.items()], parts
+        outputs: list[tuple[str, _Term]] = []
+        for item in query.select:
+            if isinstance(item, str):
+                outputs.append((item, _resolve(scope, item)))
+                continue
+            name, expr = item
+            terms = {c: _resolve(scope, c) for c in expr.columns()}
+            if isinstance(expr, Col):
+                outputs.append((name, terms[expr.name]))
+            elif all(isinstance(t, int) for t in terms.values()):
+                as_vars = {c: f"v{t}" for c, t in terms.items()}
+                outputs.append((name, expr.substitute(as_vars)))
+            else:
+                outputs.append((name, None))
+        return outputs, parts
+
+    def relation(self, name: str, depth: int) -> tuple[_Scope, list[Expr]]:
+        """Scope and residual conjuncts of one FROM/JOIN relation."""
+        catalog = self.catalog
+        if catalog.is_table(name) or name == self.universe:
+            columns = catalog.output_names(name)
+            variables = list(range(len(self.parent), len(self.parent) + len(columns)))
+            self.parent.extend(variables)
+            self.atoms.append((name, variables))
+            return {c: (name, c, v) for c, v in zip(columns, variables)}, []
+        if not catalog.is_view(name):
+            raise CatalogError(f"no table or view named {name!r}")
+        if depth >= MAX_VIEW_DEPTH:
+            raise NotConjunctive(f"view chain deeper than {MAX_VIEW_DEPTH}; cycle?")
+        view = catalog.view(name).query
+        outputs, parts = self.block(view, depth + 1, f"view {name!r}")
+        return {c: (name, c, term) for c, term in outputs}, parts
+
+    def predicate(self, where: Expr | None, scope: _Scope) -> list[Expr]:
+        """A WHERE clause's residual conjuncts; column equalities fold away."""
+        columns = where.columns() if where is not None else ()
+        names = {c: f"v{_variable(scope, c)}" for c in columns}
+        kept = []
+        for conjunct in conjuncts(where):
+            # ``a = a`` stays: it also says ``a IS NOT NULL``.
+            if (
+                isinstance(conjunct, Comparison)
+                and conjunct.op == "="
+                and isinstance(conjunct.left, Col)
+                and isinstance(conjunct.right, Col)
+                and names[conjunct.left.name] != names[conjunct.right.name]
+            ):
+                left, right = names[conjunct.left.name], names[conjunct.right.name]
+                self.equate(int(left[1:]), int(right[1:]))
+            else:
+                kept.append(conjunct.substitute(names))
+        return kept
+
+
+def _resolve(scope: _Scope, name: str) -> _Term:
+    """The term of ``name`` in scope: its visible name, else ``relation.column``."""
+    entry = scope.get(name)
+    if entry is not None:
+        return entry[2]
+    relation, dot, column = name.partition(".")
+    hits = [e for e in scope.values() if dot and e[:2] == (relation, column)]
+    if len(hits) != 1:
+        raise NotConjunctive(f"{'ambiguous' if hits else 'unknown'} column {name!r}")
+    return hits[0][2]
+
+
+def _variable(scope: _Scope, name: str) -> int:
+    term = _resolve(scope, name)
+    if not isinstance(term, int):
+        raise NotConjunctive(f"{name!r} is a computed column")
+    return term
+
+
+# ---------------------------------------------------------------------------
+# Containment mappings (homomorphism theorem)
+# ---------------------------------------------------------------------------
+
+
+def _mappings(
+    source: CanonicalQuery, target: CanonicalQuery
+) -> Iterator[tuple[dict[int, int], set[int]]]:
+    """Every consistent map of source atoms onto same-relation target atoms:
+    the variable mapping, and the indices of the target atoms it lands on."""
+    candidates = [
+        [i for i, t in enumerate(target.atoms) if t.relation == atom.relation]
+        for atom in source.atoms
+    ]
+    for assignment in itertools.product(*candidates):
+        mapping: dict[int, int] = {}
+        if all(
+            mapping.setdefault(sv, dv) == dv
+            for atom, i in zip(source.atoms, assignment)
+            for sv, dv in zip(atom.variables, target.atoms[i].variables)
+        ):
+            yield mapping, set(assignment)
+
+
+def _image(term: Expr | None, mapping: dict[int, int]) -> Expr | None:
+    """``term`` with its variables mapped; None when one has no image."""
+    if term is None or not all(int(n[1:]) in mapping for n in term.columns()):
+        return None
+    return term.substitute({n: f"v{mapping[int(n[1:])]}" for n in term.columns()})
+
+
+def _aligned(
+    source_term: Expr | None, target_term: Expr | None, mapping: dict[int, int]
+) -> bool:
+    image = _image(source_term, mapping)
+    if image is None or target_term is None:
+        return False
+    return str(image) == str(target_term)
+
+
+def _where_implied(
+    source: CanonicalQuery, target: CanonicalQuery, mapping: dict[int, int]
+) -> bool:
+    """Does the target's WHERE imply the source's, mapped onto its variables?"""
+    if source.where is None:
+        return True
+    image = _image(source.where, mapping)
+    return image is not None and predicate_implies(target.where, image)
+
+
+def is_contained(q1: Query, q2: Query, catalog: Catalog) -> bool:
+    """Sound check that Q1 ⊆ Q2 (every Q1 answer is a Q2 answer).
+
+    Uses the homomorphism theorem on :func:`canonicalize`'s forms. Raises
+    :class:`NotConjunctive` when either query leaves the fragment.
+
+    Results (including ``NotConjunctive`` outcomes) are memoized per catalog
+    DDL generation; see :func:`proof_cache_stats`.
+    """
+    key = (q1.fingerprint(), q2.fingerprint(), catalog.uid, catalog.ddl_version)
+    token = _containment_cache.fill_token()
+    cached = _containment_cache.get(key)
+    if TRACER.active():
+        instrument.cache_lookup("containment", cached is not None)
+    if cached is not None:
+        kind, payload = cached
+        if kind == "raise":
+            raise NotConjunctive(*payload)
+        return payload
+    try:
+        result = _is_contained_uncached(q1, q2, catalog)
+    except NotConjunctive as exc:
+        _hook_catalog(catalog)
+        _containment_cache.put_if(key, ("raise", exc.args), token)
+        raise
+    _hook_catalog(catalog)
+    _containment_cache.put_if(key, ("value", result), token)
+    return result
+
+
+def _is_contained_uncached(q1: Query, q2: Query, catalog: Catalog) -> bool:
+    c1 = canonicalize(q1, catalog)
+    c2 = canonicalize(q2, catalog)
+    # Containment compares answer sets, so the heads must expose the same
+    # columns (alignment is by name).
+    if set(c1.head) != set(c2.head):
+        return False
+    return any(
+        all(_aligned(term, c1.head[name], mapping) for name, term in c2.head.items())
+        and _where_implied(c2, c1, mapping)
+        for mapping, _ in _mappings(c2, c1)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Derivability: report ⊑ meta-report (the compliance engine's check)
 # ---------------------------------------------------------------------------
 
@@ -211,19 +485,20 @@ def check_derivability(
 ) -> DerivabilityResult:
     """Can ``report_query`` be expressed as σπγ over the meta-report?
 
-    Sufficient conditions (all must hold):
+    Conditions (all must hold):
 
-    1. every base relation of the report is covered by the meta-report;
-    2. every column the report uses is an output of the meta-report (a
-       report authored directly ``FROM metareport`` satisfies this by
-       construction for its own outputs);
-    3. the report's predicate implies the meta-report's predicate (a report
-       can only *narrow* what the owner approved);
-    4. aggregation compatibility: the report's GROUP BY columns are
-       meta-report outputs and aggregated columns are meta-report outputs.
+    1. every column the report uses is an output of the meta-report;
+    2. the meta-report is a non-aggregate, non-UNION view;
+    3. one containment mapping takes the meta-report's canonical form onto
+       the report's select-project-join core (:func:`spj_core`), view
+       chains inlined on both sides. It lands on every report atom (the
+       report reads no relation outside the meta-report), maps each column
+       the report uses onto the report's column of that name, and carries
+       the meta-report's residual onto one the report's residual implies.
 
-    Results are memoized per catalog DDL generation (the proof never reads
-    row data); see :func:`proof_cache_stats`.
+    A UNION report is checked branch by branch. Results are memoized per
+    catalog DDL generation (the proof never reads row data); see
+    :func:`proof_cache_stats`.
     """
     key = (
         report_query.fingerprint(),
@@ -281,47 +556,62 @@ def _check_derivability_uncached(
         )
 
     reasons: list[str] = []
-
-    report_bases = catalog.base_relations_of_query(report_query)
-    if catalog.is_view(metareport_name):
-        meta_bases = catalog.base_relations(metareport_name)
-    else:
-        meta_bases = catalog.base_relations_of_query(metareport_query)
-    uncovered = report_bases - meta_bases
-    # Note: a report authored FROM the meta-report has no uncovered bases by
-    # construction — unless it JOINs other relations in, which must flag.
-    if uncovered:
-        reasons.append(
-            f"report touches base relations outside the meta-report: {sorted(uncovered)}"
-        )
-
-    meta_outputs = catalog.output_names(metareport_query)
     used = source_columns_used(report_query)
-    unknown = {c for c in used if c not in meta_outputs}
+    unknown = used - set(catalog.output_names(metareport_query))
     if unknown:
         reasons.append(
             f"report uses columns the meta-report does not expose: {sorted(unknown)}"
         )
-
-    # A report authored FROM the meta-report view inherits its filter when
-    # executed, so the implication requirement applies only to reports
-    # expressed over other relations (the warehouse universe).
-    if report_query.source != metareport_name and not predicate_implies(
-        report_query.where, metareport_query.where
-    ):
-        reasons.append(
-            "report predicate does not imply the meta-report's predicate "
-            f"({report_query.where} vs {metareport_query.where})"
-        )
-
     if metareport_query.is_aggregate:
         reasons.append("meta-reports must be non-aggregate wide views")
-
+    else:
+        reasons[:0] = _mapping_reasons(report_query, metareport_query, used, catalog)
     return DerivabilityResult(
         derivable=not reasons,
         metareport=metareport_name,
         reasons=tuple(reasons),
     )
+
+
+def _mapping_reasons(
+    report_query: Query,
+    metareport_query: Query,
+    used: frozenset[str],
+    catalog: Catalog,
+) -> list[str]:
+    """Why no containment mapping takes the meta-report onto the report."""
+    try:
+        report = canonicalize(spj_core(report_query), catalog)
+        meta = canonicalize(metareport_query, catalog)
+    except NotConjunctive as exc:
+        return [f"outside the conjunctive fragment: {exc}"]
+    outside = {a.relation for a in report.atoms} - {a.relation for a in meta.atoms}
+    unread = {a.relation for a in meta.atoms} - {a.relation for a in report.atoms}
+    reasons = []
+    if outside:
+        reasons.append(
+            f"report touches base relations outside the meta-report: {sorted(outside)}"
+        )
+    if unread:
+        reasons.append(
+            f"meta-report joins relations the report does not read: {sorted(unread)}"
+        )
+    if reasons:
+        return reasons
+    both = used & meta.head.keys() & report.head.keys()
+    columns = [(meta.head[c], report.head[c]) for c in both]
+    for mapping, image in _mappings(meta, report):
+        if (
+            len(image) == len(report.atoms)
+            and all(_aligned(m, r, mapping) for m, r in columns)
+            and _where_implied(meta, report, mapping)
+        ):
+            return []
+    return [
+        "no containment mapping keeps the meta-report's joins and columns with "
+        "the report predicate implying the meta-report's predicate "
+        f"({report_query.where} vs {metareport_query.where})"
+    ]
 
 
 def source_columns_used(query: Query) -> frozenset[str]:
@@ -351,262 +641,3 @@ def source_columns_used(query: Query) -> frozenset[str]:
         for column, _ in query.order:
             used.add(column)
     return frozenset(used)
-
-
-# ---------------------------------------------------------------------------
-# Conjunctive-query containment (homomorphism theorem)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Atom:
-    relation: str
-    variables: tuple[int, ...]  # one variable id per schema column
-
-
-@dataclass
-class CanonicalQuery:
-    """A conjunctive query in canonical form.
-
-    Variables are integers; ``head`` maps output column name → variable;
-    ``where`` is the residual WHERE clause (variable equalities folded into
-    the atoms) over variable names ``v<id>``.
-    """
-
-    atoms: list[_Atom] = field(default_factory=list)
-    head: dict[str, int] = field(default_factory=dict)
-    where: Expr | None = None
-    n_vars: int = 0
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def make(self) -> int:
-        v = len(self.parent)
-        self.parent[v] = v
-        return v
-
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-        return ra
-
-
-def canonicalize(query: Query, catalog: Catalog) -> CanonicalQuery:
-    """Canonical form of a conjunctive query over *base tables*.
-
-    Requirements: inner joins only, no aggregation/DISTINCT/ORDER/LIMIT,
-    conjunctive predicate, every referenced relation a base table, and
-    column names unambiguous across the joined relations (qualified names
-    are resolved per relation).
-    """
-    if query.is_aggregate or query.select_distinct or query.order or (
-        query.limit_n is not None
-    ):
-        raise NotConjunctive("aggregation/distinct/order/limit not in CQ fragment")
-    if query.set_ops:
-        raise NotConjunctive("set operations (UNION) not in CQ fragment")
-    relations = query.referenced_relations()
-    for clause in query.joins:
-        if clause.how != "inner":
-            raise NotConjunctive("outer joins not in CQ fragment")
-    for relation in relations:
-        if not catalog.is_table(relation):
-            raise NotConjunctive(f"{relation!r} is not a base table")
-
-    uf = _UnionFind()
-    atoms_vars: list[dict[str, int]] = []
-    qualified_owner: dict[str, tuple[int, str]] = {}
-    for i, relation in enumerate(relations):
-        schema = catalog.table(relation).schema
-        var_map = {column: uf.make() for column in schema.names}
-        atoms_vars.append(var_map)
-        for column in schema.names:
-            qualified_owner[f"{relation}.{column}"] = (i, column)
-
-    def resolve_upto(name: str, last_atom: int) -> int:
-        """Resolve a (possibly qualified) name among atoms[0..last_atom]."""
-        if name in qualified_owner:
-            atom_idx, column = qualified_owner[name]
-            if atom_idx > last_atom:
-                raise NotConjunctive(f"{name!r} not yet in scope")
-            return atoms_vars[atom_idx][column]
-        owners = [
-            i for i in range(last_atom + 1) if name in atoms_vars[i]
-        ]
-        if not owners:
-            raise NotConjunctive(f"unknown column {name!r}")
-        if len(owners) > 1:
-            raise NotConjunctive(f"ambiguous column name {name!r}; qualify it")
-        return atoms_vars[owners[0]][name]
-
-    def resolve(name: str) -> int:
-        return resolve_upto(name, len(relations) - 1)
-
-    for clause_idx, clause in enumerate(query.joins):
-        for lname, rname in clause.on:
-            right_relation = relations[clause_idx + 1]
-            right_schema = catalog.table(right_relation).schema
-            rcol = rname.split(".")[-1]
-            if rcol not in right_schema:
-                raise NotConjunctive(
-                    f"join column {rname!r} not in {right_relation!r}"
-                )
-            uf.union(
-                resolve_upto(lname, clause_idx),
-                atoms_vars[clause_idx + 1][rcol],
-            )
-
-    # Variable equalities fold into the atoms; the rest stays a predicate.
-    residual: list[Expr] = []
-    for conjunct in conjuncts(query.where):
-        if isinstance(conjunct, Comparison) and isinstance(
-            conjunct.left, Col
-        ) and isinstance(conjunct.right, Col):
-            if conjunct.op != "=":
-                raise NotConjunctive("var-var inequality not in fragment")
-            uf.union(resolve(conjunct.left.name), resolve(conjunct.right.name))
-        elif _is_cq_atom(conjunct):
-            residual.append(conjunct)
-        else:
-            raise NotConjunctive(f"non-conjunctive shape: {conjunct}")
-
-    canonical = CanonicalQuery()
-    for i, relation in enumerate(relations):
-        schema = catalog.table(relation).schema
-        canonical.atoms.append(
-            _Atom(
-                relation,
-                tuple(uf.find(atoms_vars[i][c]) for c in schema.names),
-            )
-        )
-    if query.select:
-        for item in query.select:
-            name = item if isinstance(item, str) else item[0]
-            expr = Col(name) if isinstance(item, str) else item[1]
-            if not isinstance(expr, Col):
-                raise NotConjunctive(f"computed head column {name!r} not in fragment")
-            canonical.head[name] = uf.find(resolve(expr.name))
-    else:
-        for name in catalog.output_names(query):
-            canonical.head[name] = uf.find(resolve(name))
-    renamed = [
-        c.substitute({n: f"v{uf.find(resolve(n))}" for n in c.columns()})
-        for c in residual
-    ]
-    canonical.where = reduce(And, renamed) if renamed else None
-    canonical.n_vars = len(uf.parent)
-    return canonical
-
-
-def _is_cq_atom(atom: Expr) -> bool:
-    """A column-vs-literal comparison, IN list or IS NOT NULL over a column."""
-    if isinstance(atom, Comparison):
-        return (isinstance(atom.left, Col) and isinstance(atom.right, Lit)) or (
-            isinstance(atom.left, Lit) and isinstance(atom.right, Col)
-        )
-    if isinstance(atom, InList):
-        return isinstance(atom.target, Col)
-    return isinstance(atom, IsNull) and atom.negated and isinstance(atom.target, Col)
-
-
-def is_contained(q1: Query, q2: Query, catalog: Catalog) -> bool:
-    """Sound check that Q1 ⊆ Q2 (every Q1 answer is a Q2 answer).
-
-    Uses the homomorphism theorem with conservative comparison handling.
-    Raises :class:`NotConjunctive` when either query leaves the fragment.
-
-    Results (including ``NotConjunctive`` outcomes) are memoized per catalog
-    DDL generation; see :func:`proof_cache_stats`.
-    """
-    key = (q1.fingerprint(), q2.fingerprint(), catalog.uid, catalog.ddl_version)
-    token = _containment_cache.fill_token()
-    cached = _containment_cache.get(key)
-    if TRACER.active():
-        instrument.cache_lookup("containment", cached is not None)
-    if cached is not None:
-        kind, payload = cached
-        if kind == "raise":
-            raise NotConjunctive(*payload)
-        return payload
-    try:
-        result = _is_contained_uncached(q1, q2, catalog)
-    except NotConjunctive as exc:
-        _hook_catalog(catalog)
-        _containment_cache.put_if(key, ("raise", exc.args), token)
-        raise
-    _hook_catalog(catalog)
-    _containment_cache.put_if(key, ("value", result), token)
-    return result
-
-
-def _is_contained_uncached(q1: Query, q2: Query, catalog: Catalog) -> bool:
-    c1 = canonicalize(q1, catalog)
-    c2 = canonicalize(q2, catalog)
-    # Containment compares answer sets, so the heads must expose the same
-    # columns (alignment is by name).
-    if set(c1.head) != set(c2.head):
-        return False
-    return _find_homomorphism(c2, c1)
-
-
-def _find_homomorphism(source: CanonicalQuery, target: CanonicalQuery) -> bool:
-    """Is there a containment mapping ``source`` → ``target``?
-
-    Maps each source atom onto a target atom of the same relation with a
-    consistent variable mapping; head variables must align by column name;
-    the target's WHERE must imply the source's, mapped onto its variables.
-    """
-    candidates: list[list[_Atom]] = []
-    for atom in source.atoms:
-        options = [t for t in target.atoms if t.relation == atom.relation]
-        if not options:
-            return False
-        candidates.append(options)
-
-    for assignment in itertools.product(*candidates):
-        mapping: dict[int, int] = {}
-        ok = True
-        for src_atom, dst_atom in zip(source.atoms, assignment):
-            for sv, dv in zip(src_atom.variables, dst_atom.variables):
-                if mapping.get(sv, dv) != dv:
-                    ok = False
-                    break
-                mapping[sv] = dv
-            if not ok:
-                break
-        if not ok:
-            continue
-        # Heads align by name.
-        if any(
-            mapping.get(sv) != target.head.get(name)
-            for name, sv in source.head.items()
-        ):
-            continue
-        if _where_implied(source, target, mapping):
-            return True
-    return False
-
-
-def _where_implied(
-    source: CanonicalQuery, target: CanonicalQuery, mapping: dict[int, int]
-) -> bool:
-    """Does the target's WHERE imply the source's, mapped onto its variables?"""
-    if source.where is None:
-        return True
-    names: dict[str, str] = {}
-    for name in source.where.columns():
-        dv = mapping.get(int(name[1:]))
-        if dv is None:
-            return False
-        names[name] = f"v{dv}"
-    return predicate_implies(target.where, source.where.substitute(names))

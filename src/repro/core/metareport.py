@@ -16,19 +16,22 @@ whole-warehouse universe, len(workload) = per-report).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Sequence
 
 from repro.errors import PolicyError
 from repro.core.containment import (
     DerivabilityResult,
     NotConjunctive,
+    canonicalize,
     check_derivability,
     source_columns_used,
+    spj_core,
 )
 from repro.core.pla import PLA, PlaStatus
-from repro.relational.catalog import MAX_VIEW_DEPTH, Catalog, View
-from repro.relational.expressions import And, Col, Expr, Or
+from repro.relational.catalog import Catalog, View
+from repro.relational.expressions import And, Col, Comparison, Expr, Or
 from repro.relational.query import Query
 from repro.reports.definition import ReportDefinition
 
@@ -180,101 +183,47 @@ def effective_region(
 ) -> Expr | None:
     """The universe-level row region ``query`` can draw rows from.
 
-    Walks the view chain from ``query.source`` down to ``universe``,
-    conjoining each layer's WHERE clause with column names rewritten
-    through the layer's aliases, and returns one predicate over the
-    universe's columns (``None`` = unrestricted). This is the *runtime*
-    region: it reads the views actually registered in the catalog, so a
-    drifted view definition shows up here, not in the approved artifacts.
+    The residual of the query's select-project-join core in canonical form,
+    views inlined down to ``universe``, renamed into the universe's column
+    names (``None`` = unrestricted). This is the *runtime* region: it reads
+    the views registered in the catalog, so a drifted view definition
+    shows up here, not in the approved artifacts.
 
     The region over-approximates on purpose: GROUP BY/HAVING/LIMIT only
     narrow which of the reachable rows surface, so every contributing row
     still satisfies the returned predicate — the sound polarity for the
-    verifier's premises. Raises :class:`NotConjunctive` for shapes whose
-    region cannot be expressed as one predicate (joins along the chain, a
-    predicate over a computed alias, or a source that never reaches the
-    universe).
+    verifier's premises. Raises :class:`NotConjunctive` when the form is
+    not one universe atom or cannot be built.
     """
     # A UNION draws rows from every branch, so its region is the OR of the
     # branch regions; one unrestricted branch makes the whole query
     # unrestricted. Each branch resolves its own view chain independently.
     if query.set_ops:
-        from dataclasses import replace as _replace
-
-        blocks = [_replace(query, set_ops=())] + [
-            clause.query for clause in query.set_ops
-        ]
-        regions = [
-            effective_region(block, catalog, universe=universe)
-            for block in blocks
-        ]
+        blocks = [replace(query, set_ops=())] + [c.query for c in query.set_ops]
+        regions = [effective_region(b, catalog, universe=universe) for b in blocks]
         if any(region is None for region in regions):
             return None
-        combined: Expr = regions[0]  # type: ignore[assignment]
-        for region in regions[1:]:
-            combined = Or(combined, region)
-        return combined
+        return reduce(Or, regions)  # type: ignore[arg-type]
 
-    predicate = query.where
-    relation = query.source
-    if query.joins:
+    form = canonicalize(spj_core(query), catalog, universe=universe)
+    relations = [atom.relation for atom in form.atoms]
+    if relations != [universe]:
         raise NotConjunctive(
-            f"region of a join over {relation!r} is not a single predicate"
+            f"region over {relations} is not one predicate over universe {universe!r}"
         )
-    depth = 0
-    while relation != universe:
-        depth += 1
-        if depth > MAX_VIEW_DEPTH:
-            raise NotConjunctive(
-                f"view chain deeper than {MAX_VIEW_DEPTH}; cycle?"
-            )
-        if not catalog.is_view(relation):
-            raise NotConjunctive(
-                f"{relation!r} is not a view over universe {universe!r}"
-            )
-        view_query = catalog.view(relation).query
-        if view_query.joins or view_query.is_aggregate:
-            raise NotConjunctive(
-                f"view {relation!r} joins or aggregates; its region is not "
-                "a single universe predicate"
-            )
-        if view_query.limit_n is not None:
-            raise NotConjunctive(f"view {relation!r} carries a LIMIT")
-        if view_query.set_ops:
-            raise NotConjunctive(
-                f"view {relation!r} is a set operation; its region is not "
-                "a single universe predicate"
-            )
-        mapping: dict[str, str] = {}
-        computed: set[str] = set()
-        for item in view_query.select:
-            if isinstance(item, str):
-                mapping[item] = item
-            else:
-                alias, expr = item
-                if isinstance(expr, Col):
-                    mapping[alias] = expr.name
-                else:
-                    computed.add(alias)
-        if predicate is not None:
-            referenced = predicate.columns()
-            bad = referenced & computed
-            if bad:
-                raise NotConjunctive(
-                    f"predicate references computed alias(es) {sorted(bad)} "
-                    f"of view {relation!r}"
-                )
-            if mapping:
-                predicate = predicate.substitute(mapping)
-        if view_query.where is not None:
-            predicate = (
-                view_query.where
-                if predicate is None
-                else And(predicate, view_query.where)
-            )
-        relation = view_query.source
-    return predicate
-
+    # Universe columns equated along the chain share a variable: name the
+    # variable after the first and restate the equality for the others.
+    names: dict[str, str] = {}
+    equalities: list[Expr] = []
+    for column, variable in zip(
+        catalog.output_names(universe), form.atoms[0].variables
+    ):
+        first = names.setdefault(f"v{variable}", column)
+        if first != column:
+            equalities.append(Comparison("=", Col(first), Col(column)))
+    parts = [] if form.where is None else [form.where.substitute(names)]
+    parts += equalities
+    return reduce(And, parts) if parts else None
 
 
 def generate_metareports(

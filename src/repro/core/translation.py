@@ -171,9 +171,9 @@ class ReportLevelEnforcer:
 
         A report may be authored over a meta-report view that projects the
         condition column away (it exists only "for purposes of defining
-        PLAs"). In that case the enforcer extends the view one level — the
-        view's own source still carries the column — and points the query at
-        the extended view. Raises when the column is genuinely absent.
+        PLAs"). In that case the enforcer extends the view one level — its
+        FROM, joins included, still carries the column — and points the
+        query at the extended view. Raises when the column is genuinely absent.
         """
         from dataclasses import replace as _replace
 
@@ -191,7 +191,7 @@ class ReportLevelEnforcer:
             )
         view_query = self.catalog.view(source).query
         view_outputs = view_query.output_names()
-        upstream = self.catalog.output_names(view_query.source)
+        upstream = self.catalog.output_names(_replace(view_query, select=()))
         if view_outputs is None or not missing <= set(upstream):
             raise EnforcementError(
                 f"cannot reach hidden column(s) {sorted(missing)} through "

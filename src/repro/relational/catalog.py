@@ -10,11 +10,23 @@ from repro.errors import CatalogError
 from repro.relational.query import Query
 from repro.relational.table import Table
 
-__all__ = ["View", "Catalog", "MAX_VIEW_DEPTH"]
+__all__ = ["View", "Catalog", "MAX_VIEW_DEPTH", "joined_names"]
 
 #: Deepest view nesting the executors and the static dataflow resolve; a
 #: deeper chain is refused as a probable cycle.
 MAX_VIEW_DEPTH = 32
+
+
+def joined_names(
+    left: tuple[str, ...], left_name: str, right: tuple[str, ...], right_name: str
+) -> tuple[str, ...]:
+    """Column names of ``left_name JOIN right_name``, colliding names
+    qualified ``<relation>.<column>`` as :func:`~repro.relational.algebra.join`
+    qualifies them."""
+    clash = set(left) & set(right)
+    return tuple(f"{left_name}.{n}" if n in clash else n for n in left) + tuple(
+        f"{right_name}.{n}" if n in clash else n for n in right
+    )
 
 
 class View:
@@ -222,10 +234,7 @@ class Catalog:
         left = source.source
         for clause in source.joins:
             right = self._output_names(clause.table, depth)
-            clash = set(names) & set(right)
-            names = tuple(f"{left}.{n}" if n in clash else n for n in names) + tuple(
-                f"{clause.table}.{n}" if n in clash else n for n in right
-            )
+            names = joined_names(names, left, right, clause.table)
             left = f"{left}_{clause.table}"
         return names
 

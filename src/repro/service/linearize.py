@@ -30,16 +30,20 @@ record before hashing, so the check is observability-independent.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
+from repro.audit.log import AuditLog
 from repro.errors import ComplianceError, ServiceError
-from repro.service.state import CommitEntry, RefusalEntry, apply_mutation_to
+from repro.service.state import (
+    CommitEntry,
+    RefusalEntry,
+    apply_mutation_to,
+    chain_digest,
+    payload_hash,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.audit.log import DisclosureRecord
-    from repro.reports.definition import ReportInstance
     from repro.simulation.scenario import Scenario
 
 __all__ = [
@@ -50,51 +54,8 @@ __all__ = [
     "check_linearizable",
 ]
 
-#: Seed of the trace-independent chain (same as the audit log's own).
-GENESIS = "0" * 64
-
-
-def payload_hash(instance: "ReportInstance") -> str:
-    """A sha256 digest of everything a consumer can observe in a delivery.
-
-    Covers the definition identity (name + version), the consumer, the full
-    table (schema names and every row), and the enforcement outcome
-    (suppressed rows, obligations, degradation state) — two deliveries hash
-    equal iff they are observably identical. The parts are hashed as one
-    ``repr`` of a tuple: every part is built from strings, numbers, dates,
-    booleans and ``None``, whose ``repr`` is unambiguous (strings are quoted
-    and escaped, ``1`` and ``1.0`` differ), and the tuple's delimiters keep
-    the parts apart.
-    """
-    table = instance.table
-    observable = (
-        instance.definition.name,
-        instance.definition.version,
-        instance.consumer,
-        table.schema.names,
-        table.rows,
-        instance.suppressed_rows,
-        instance.obligations_applied,
-        instance.degraded,
-        instance.degraded_sources,
-        instance.fault_cause,
-    )
-    return hashlib.sha256(repr(observable).encode("utf-8")).hexdigest()
-
-
-def chain_digest(previous: str, record: "DisclosureRecord") -> str:
-    """Trace-independent audit chain: the trace-free payload over ``previous``.
-
-    The record's payload is hashed without its trace ID. Trace IDs are
-    execution-local observability metadata — a live run and its serial
-    replay can never share them, so the raw audit chain is only
-    byte-comparable across runs with tracing off. This digest is what the
-    linearizability check compares instead; with observability disabled it
-    is bit-identical to the audit log's own chain.
-    """
-    return hashlib.sha256(
-        (previous + record.payload(trace=False)).encode()
-    ).hexdigest()
+#: Seed of the trace-independent chain: the audit log's own.
+GENESIS = AuditLog.GENESIS
 
 
 @dataclass

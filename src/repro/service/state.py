@@ -25,10 +25,12 @@ checks them per epoch.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
+from repro.audit.log import AuditLog
 from repro.concurrency import RWLock
 from repro.core.annotations import AggregationThreshold
 from repro.errors import ServiceError
@@ -71,6 +73,49 @@ class MutationSpec:
                 f"unknown mutation kind {self.kind!r}; expected one of "
                 f"{MUTATION_KINDS}"
             )
+
+
+def payload_hash(instance: "ReportInstance") -> str:
+    """A sha256 digest of everything a consumer can observe in a delivery.
+
+    Covers the definition identity (name + version), the consumer, the full
+    table (schema names and every row), and the enforcement outcome
+    (suppressed rows, obligations, degradation state) — two deliveries hash
+    equal iff they are observably identical. The parts are hashed as one
+    ``repr`` of a tuple: every part is built from strings, numbers, dates,
+    booleans and ``None``, whose ``repr`` is unambiguous (strings are quoted
+    and escaped, ``1`` and ``1.0`` differ), and the tuple's delimiters keep
+    the parts apart.
+    """
+    table = instance.table
+    observable = (
+        instance.definition.name,
+        instance.definition.version,
+        instance.consumer,
+        table.schema.names,
+        table.rows,
+        instance.suppressed_rows,
+        instance.obligations_applied,
+        instance.degraded,
+        instance.degraded_sources,
+        instance.fault_cause,
+    )
+    return hashlib.sha256(repr(observable).encode("utf-8")).hexdigest()
+
+
+def chain_digest(previous: str, record: "DisclosureRecord") -> str:
+    """Trace-independent audit chain: the trace-free payload over ``previous``.
+
+    The record's payload is hashed without its trace ID. Trace IDs are
+    execution-local observability metadata — a live run and its serial
+    replay can never share them, so the raw audit chain is only
+    byte-comparable across runs with tracing off. This digest is what the
+    linearizability check compares instead; with observability disabled it
+    is bit-identical to the audit log's own chain.
+    """
+    return hashlib.sha256(
+        (previous + record.payload(trace=False)).encode()
+    ).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -128,7 +173,7 @@ class ServiceState:
         self._log_lock = threading.Lock()
         # Running trace-independent chain over audit records; advanced in
         # the audit hook (under the audit lock, so strictly in chain order).
-        self._norm_chain = "0" * 64
+        self._norm_chain = AuditLog.GENESIS
         self.service.audit_log.on_record = self._on_audit_record
         instrument.SERVICE_EPOCH.set(0)
 
@@ -145,11 +190,9 @@ class ServiceState:
         Once a traced record has made the chains diverge, every later digest
         is computed.
         """
-        from repro.service.linearize import GENESIS, chain_digest, payload_hash
-
         # The hook runs right after the append: records[-1] is ``record``.
         records = self.service.audit_log.records
-        previous = records[-2].chain_hash if len(records) > 1 else GENESIS
+        previous = records[-2].chain_hash if len(records) > 1 else AuditLog.GENESIS
         if not record.trace_id and self._norm_chain == previous:
             self._norm_chain = record.chain_hash
         else:

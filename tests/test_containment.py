@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.relational import (
     Catalog,
+    Col,
     Query,
     Table,
     View,
@@ -119,15 +120,82 @@ class TestCanonicalize:
         with pytest.raises(NotConjunctive):
             canonicalize(q, cq_catalog)
 
-    def test_views_rejected(self, cq_catalog):
-        cq_catalog.add_view(View("v", parse_query("SELECT patient FROM presc")))
-        with pytest.raises(NotConjunctive):
-            canonicalize(parse_query("SELECT patient FROM v"), cq_catalog)
+    def test_views_inlined(self, cq_catalog):
+        cq_catalog.add_view(
+            View("v", parse_query("SELECT patient, drug FROM presc WHERE cost > 5"))
+        )
+        cq_catalog.add_view(
+            View("w", parse_query("SELECT patient AS who FROM v WHERE drug = 'DH'"))
+        )
+        c = canonicalize(parse_query("SELECT who FROM w"), cq_catalog)
+        assert [a.relation for a in c.atoms] == ["presc"]
+        assert c.head == {"who": Col(f"v{c.atoms[0].variables[0]}")}
+        # The outer view's WHERE comes first, then the inner one's.
+        assert str(c.where) == (
+            f"(v{c.atoms[0].variables[1]} = 'DH' AND v{c.atoms[0].variables[3]} > 5)"
+        )
 
-    def test_disjunction_rejected(self, cq_catalog):
+    def test_views_rejected(self, cq_catalog):
+        # Views the walk cannot inline fail closed, naming the shape.
+        drugs = parse_query("SELECT drug FROM presc")
+        shapes = {
+            "agg": (
+                parse_query("SELECT drug, COUNT(*) AS n FROM presc GROUP BY drug"),
+                "aggregates",
+            ),
+            "lim": (drugs.limit(3), "LIMIT"),
+            "uni": (drugs.union_with(parse_query("SELECT drug FROM dcost")), "UNION"),
+            "lj": (
+                Query.from_("presc").join("dcost", [("drug", "drug")], how="left"),
+                "outer join",
+            ),
+        }
+        for name, (query, shape) in shapes.items():
+            cq_catalog.add_view(View(name, query))
+            with pytest.raises(NotConjunctive, match=shape):
+                canonicalize(Query.from_(name), cq_catalog)
+
+    def test_disjunction_kept_in_residual(self, cq_catalog):
         q = parse_query("SELECT patient FROM presc WHERE drug = 'a' OR drug = 'b'")
-        with pytest.raises(NotConjunctive):
-            canonicalize(q, cq_catalog)
+        c = canonicalize(q, cq_catalog)
+        drug = f"v{c.atoms[0].variables[1]}"
+        assert str(c.where) == f"({drug} = 'a' OR {drug} = 'b')"
+
+    def test_self_equality_stays_in_residual(self, cq_catalog):
+        # ``cost = cost`` also says ``cost IS NOT NULL``, so it is not folded.
+        q = parse_query("SELECT patient FROM presc WHERE cost = cost")
+        c = canonicalize(q, cq_catalog)
+        cost = f"v{c.atoms[0].variables[3]}"
+        assert str(c.where) == f"{cost} = {cost}"
+
+    def test_view_chain_deeper_than_the_limit_rejected(self, cq_catalog):
+        from repro.relational.catalog import MAX_VIEW_DEPTH
+
+        previous = "presc"
+        for i in range(MAX_VIEW_DEPTH + 1):
+            cq_catalog.add_view(View(f"d{i}", Query.from_(previous).project("patient")))
+            previous = f"d{i}"
+        canonicalize(Query.from_(f"d{MAX_VIEW_DEPTH - 1}"), cq_catalog)
+        with pytest.raises(NotConjunctive, match="deeper than"):
+            canonicalize(Query.from_(previous), cq_catalog)
+
+    def test_engine_qualified_join_columns(self, cq_catalog):
+        # presc and dcost share ``drug``: after the join the engine names
+        # the two copies presc.drug and dcost.drug.
+        q = parse_query(
+            "SELECT patient FROM presc JOIN dcost ON drug = drug "
+            "WHERE dcost.drug != 'DX'"
+        )
+        c = canonicalize(q, cq_catalog)
+        assert str(c.where) == f"v{c.atoms[1].variables[0]} != 'DX'"
+        with pytest.raises(NotConjunctive, match="unknown column"):
+            canonicalize(
+                parse_query(
+                    "SELECT patient FROM presc JOIN dcost ON drug = drug "
+                    "WHERE drug != 'DX'"
+                ),
+                cq_catalog,
+            )
 
 
 class TestIsContained:
@@ -164,6 +232,24 @@ class TestIsContained:
         )
         q2 = parse_query("SELECT patient FROM presc JOIN dcost ON drug = drug")
         assert is_contained(q1, q2, cq_catalog)
+
+    def test_views_inlined_on_both_sides(self, cq_catalog):
+        cq_catalog.add_view(
+            View(
+                "hiv_free",
+                parse_query(
+                    "SELECT patient, drug, cost FROM presc WHERE disease != 'HIV'"
+                ),
+            )
+        )
+        q1 = parse_query("SELECT patient FROM hiv_free WHERE cost > 20")
+        q2 = parse_query("SELECT patient FROM presc WHERE disease != 'HIV'")
+        assert is_contained(q1, q2, cq_catalog)
+        assert not is_contained(
+            parse_query("SELECT patient FROM presc"),
+            parse_query("SELECT patient FROM hiv_free"),
+            cq_catalog,
+        )
 
 
 class TestSourceColumnsUsed:
@@ -277,9 +363,153 @@ class TestDerivability:
         assert not result
         assert any("outside the meta-report" in r for r in result.reasons)
 
+    def test_computed_columns_align_by_expression(self, catalog):
+        catalog.add_view(
+            View("mrc", parse_query("SELECT drug, cost * 2 AS dbl FROM presc"))
+        )
+        catalog.add_view(
+            View("other", parse_query("SELECT drug, cost * 3 AS dbl FROM presc"))
+        )
+        meta = catalog.view("mrc").query
+        assert check_derivability(
+            parse_query("SELECT dbl FROM mrc WHERE drug = 'DA'"), "mrc", meta, catalog
+        )
+        result = check_derivability(
+            parse_query("SELECT dbl FROM other"), "mrc", meta, catalog
+        )
+        assert not result and any("containment mapping" in r for r in result.reasons)
+
     def test_aggregate_metareport_rejected(self, catalog):
         agg_meta = parse_query("SELECT drug, COUNT(*) AS n FROM presc GROUP BY drug")
         report = parse_query("SELECT drug FROM aggm")
         catalog.add_view(View("aggm", agg_meta))
         result = check_derivability(report, "aggm", agg_meta, catalog)
         assert not result
+
+
+class TestMetaReportJoinBoundsReport:
+    """A meta-report's join restricts the rows a report derived from it may
+    read: ``mv`` keeps only consented patients, so a report over ``fact``
+    alone, which returns the unconsented row ``('C', 30.0)``, is refused."""
+
+    @pytest.fixture
+    def probe(self):
+        cat = Catalog()
+        fact = make_schema(
+            ("pid", ColumnType.INT),
+            ("drug", ColumnType.STRING),
+            ("cost", ColumnType.FLOAT),
+        )
+        rows = [(1, "A", 10.0), (2, "B", 20.0), (3, "C", 30.0)]
+        cat.add_table(Table.from_rows("fact", fact, rows, provider="h"))
+        consent = make_schema(("pid2", ColumnType.INT))
+        cat.add_table(Table.from_rows("consent", consent, [(1,), (2,)], provider="h"))
+        meta = parse_query(
+            "SELECT pid, drug, cost FROM fact JOIN consent ON pid = pid2"
+        )
+        cat.add_view(View("mv", meta))
+        return cat, meta
+
+    def test_report_bypassing_the_join_not_derivable(self, probe):
+        from repro.relational import execute
+
+        cat, meta = probe
+        report = parse_query("SELECT drug, cost FROM fact")
+        assert ("C", 30.0) in execute(report, cat).rows
+        over_mv = execute(parse_query("SELECT drug, cost FROM mv"), cat)
+        assert ("C", 30.0) not in over_mv.rows
+        result = check_derivability(report, "mv", meta, cat)
+        assert not result
+        assert any("['consent']" in r for r in result.reasons)
+        assert not is_contained(report, parse_query("SELECT drug, cost FROM mv"), cat)
+
+    def test_report_over_the_view_is_derivable(self, probe):
+        cat, meta = probe
+        for sql in (
+            "SELECT drug, cost FROM mv WHERE cost > 5",
+            "SELECT drug, SUM(cost) AS total FROM mv GROUP BY drug",
+        ):
+            assert check_derivability(parse_query(sql), "mv", meta, cat), sql
+
+    def test_report_joining_on_other_columns_not_derivable(self, probe):
+        cat, meta = probe
+        report = parse_query("SELECT drug FROM fact JOIN consent ON cost = pid2")
+        result = check_derivability(report, "mv", meta, cat)
+        assert not result and any("containment mapping" in r for r in result.reasons)
+
+    def test_compliance_checker_refuses_the_probe(self, probe):
+        from repro.core import (
+            AttributeAccess,
+            ComplianceChecker,
+            MetaReport,
+            MetaReportSet,
+            PLA,
+            PlaLevel,
+            PlaRegistry,
+        )
+        from repro.reports.definition import ReportDefinition
+
+        cat, meta = probe
+        registry = PlaRegistry()
+        grant = AttributeAccess("cost", frozenset({"analyst"}))
+        registry.add(PLA("p", "h", PlaLevel.METAREPORT, "mv", (grant,)))
+        metareport = MetaReport("mv", meta)
+        metareport.attach_pla(registry.approve("p"))
+        checker = ComplianceChecker(
+            catalog=cat, metareports=MetaReportSet([metareport])
+        )
+
+        def verdict(sql):
+            return checker.check_report(
+                ReportDefinition(
+                    name="r", title="t", query=parse_query(sql),
+                    audience=frozenset({"analyst"}), purpose="care",
+                )
+            )
+
+        refused = verdict("SELECT drug, cost FROM fact")
+        assert not refused.compliant and refused.covering_metareport is None
+        assert verdict("SELECT drug, cost FROM mv").covering_metareport == "mv"
+
+
+class TestEffectiveRegion:
+    """Regions read the canonical form, renamed into universe columns."""
+
+    @pytest.fixture
+    def catalog(self, cq_catalog):
+        cq_catalog.add_view(
+            View("u", parse_query("SELECT patient, drug, disease, cost FROM presc"))
+        )
+        cq_catalog.add_view(
+            View(
+                "v",
+                parse_query(
+                    "SELECT patient AS who, drug, cost FROM u WHERE disease != 'HIV'"
+                ),
+            )
+        )
+        return cq_catalog
+
+    def test_view_chain_renamed_into_universe_columns(self, catalog):
+        from repro.core.metareport import effective_region
+
+        q = parse_query(
+            "SELECT who, COUNT(*) AS n FROM v "
+            "WHERE cost > 5 AND who != 'x' GROUP BY who"
+        )
+        region = effective_region(q, catalog, universe="u")
+        assert str(region) == "((cost > 5 AND patient != 'x') AND disease != 'HIV')"
+
+    def test_folded_equality_is_restated(self, catalog):
+        from repro.core.metareport import effective_region
+
+        q = parse_query("SELECT drug FROM u WHERE drug = disease AND cost > 1")
+        region = effective_region(q, catalog, universe="u")
+        assert str(region) == "(cost > 1 AND drug = disease)"
+
+    def test_join_along_the_chain_fails_closed(self, catalog):
+        from repro.core.metareport import effective_region
+
+        q = parse_query("SELECT who FROM v JOIN dcost ON drug = drug")
+        with pytest.raises(NotConjunctive, match="not one predicate"):
+            effective_region(q, catalog, universe="u")

@@ -202,6 +202,60 @@ class TestHiddenColumns:
         by_patient = {r["patient"]: r["result"] for r in instance.table.iter_dicts()}
         assert by_patient == {"Alice": None, "Bob": "normal"}
 
+    def test_hidden_condition_column_behind_a_join_view(self):
+        """The condition column may come from any relation of the view's
+        FROM: here ``disease`` lives in ``patients``, joined into ``jv``."""
+        cat = Catalog()
+        exams = make_schema(("k", ColumnType.INT), ("result", ColumnType.STRING))
+        patients = make_schema(("k2", ColumnType.INT), ("disease", ColumnType.STRING))
+        cat.add_table(
+            Table.from_rows(
+                "exams", exams, [(1, "positive"), (2, "normal")], provider="lab"
+            )
+        )
+        cat.add_table(
+            Table.from_rows(
+                "patients", patients, [(1, "HIV"), (2, "asthma")], provider="hosp"
+            )
+        )
+        jv = parse_query("SELECT k, result FROM exams JOIN patients ON k = k2")
+        cat.add_view(View("jv", jv))
+        registry = PlaRegistry()
+        registry.add(
+            PLA(
+                "p", "lab", PlaLevel.METAREPORT, "mr",
+                (
+                    IntensionalCondition(
+                        "result", parse_expression("disease != 'HIV'"), "suppress_cell"
+                    ),
+                ),
+            )
+        )
+        mr = MetaReport("mr", parse_query("SELECT k, result FROM jv"))
+        mr.attach_pla(registry.approve("p"))
+        mrs = MetaReportSet()
+        mrs.add(mr)
+        mrs.register_views(cat)
+        subjects = SubjectRegistry()
+        subjects.purposes.declare("care")
+        subjects.add_role("analyst")
+        subjects.add_user("ann", "analyst")
+        report = ReportDefinition(
+            name="jv_report", title="t",
+            query=parse_query("SELECT k, result FROM jv"),
+            audience=frozenset({"analyst"}), purpose="care",
+        )
+        verdict = ComplianceChecker(catalog=cat, metareports=mrs).check_report(report)
+        assert verdict.compliant and verdict.covering_metareport == "mr"
+        instance = ReportLevelEnforcer(catalog=cat).generate(
+            report, subjects.context("ann", "care"), verdict
+        )
+        assert instance.table.schema.names == ("k", "result")
+        assert {r["k"]: r["result"] for r in instance.table.iter_dicts()} == {
+            1: None,
+            2: "normal",
+        }
+
 
 class TestCrossLayerProjection:
     def _plas(self):

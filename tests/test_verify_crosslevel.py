@@ -85,18 +85,25 @@ class TestSeedDeploymentProves:
 
 
 class TestVer001DriftedView:
-    """Approved meta-report definition tampered; catalog view stays wide."""
+    """Approved meta-report definition tampered; catalog view stays wide.
 
-    def broken(self):
+    Derivability compares the report, through the catalog's views, with
+    the *approved* meta-report, so the compliance checker itself refuses a
+    report that only the drifted view could serve. VER001 is the
+    independent second check: with a checker planted to skip that
+    comparison, it refutes the report with a counterexample that
+    reproduces through the engine and the delivery service.
+    """
+
+    def broken(self, *, planted_checker: bool = True):
         scenario = fresh_scenario()
-        # A report authored FROM the meta-report view. Derivability skips
-        # the predicate-implication step for view-sourced reports, so the
-        # compliance checker alone cannot see the coming drift.
+        # A report authored FROM the meta-report view; ``date`` is exposed
+        # by mr_0 alone, so no other meta-report can cover it.
         scenario.report_catalog.add(
             ReportDefinition(
                 "crafted_agg",
                 "Crafted aggregate",
-                Query.from_("mr_0").group("drug").agg(AggSpec("count", None, "n")),
+                Query.from_("mr_0").group("date").agg(AggSpec("count", None, "n")),
                 frozenset({"analyst"}),
                 "care/quality",
             )
@@ -105,7 +112,32 @@ class TestVer001DriftedView:
         # the registered catalog view silently keeps serving everything.
         mr0 = scenario.metareports.get("mr_0")
         mr0.query = mr0.query.filter(Comparison("<", Col("cost"), Lit(0)))
+        if planted_checker:
+            # A checker that takes a view-sourced report's own meta-report
+            # as its cover without comparing their predicates.
+            genuine = scenario.metareports.find_covering
+
+            def find_covering(report, catalog):
+                if report.name == "crafted_agg":
+                    return mr0, ()
+                return genuine(report, catalog)
+
+            scenario.metareports.find_covering = find_covering
         return scenario
+
+    def test_merged_check_refuses_the_drift(self):
+        scenario = self.broken(planted_checker=False)
+        verdict = scenario.checker.check_report(
+            scenario.report_catalog.current("crafted_agg")
+        )
+        assert not verdict.compliant and verdict.covering_metareport is None
+        (mr0_attempt,) = [
+            a for a in verdict.derivability_attempts if a.metareport == "mr_0"
+        ]
+        assert any("predicate" in r for r in mr0_attempt.reasons)
+        report = verify_scenario(scenario)
+        assert report.refuted == () and report.unknown == ()
+        assert not [r for r in report.results if "crafted_agg" in r.location]
 
     def test_refuted_with_confirmed_counterexample(self):
         report = verify_scenario(self.broken())
