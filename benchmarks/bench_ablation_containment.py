@@ -7,7 +7,8 @@ as a subset or view over a meta-report" quickly and soundly. We measure:
   built on it against brute-force evaluation on random instances
   (soundness must be perfect; completeness is reported). The derivability
   pairs include meta-reports that join a relation the report does not
-  read, whose join restricts the rows the report may draw;
+  read, whose join restricts the rows the report may draw, meta-reports
+  that hide columns, and bare ``SELECT *`` and UNION reports;
 * throughput vs number of atoms (joins) and vs catalog/report-count, since
   every report-catalog change re-runs the check.
 
@@ -29,11 +30,11 @@ from repro.core import (
     check_derivability,
     clear_proof_caches,
     is_contained,
-    source_columns_used,
 )
 from repro.core.containment import spj_core
 from repro.relational import (
     Catalog,
+    Query,
     Table,
     View,
     execute,
@@ -124,37 +125,51 @@ def _where(rng: random.Random, columns: list[str]) -> str:
     return f" WHERE {' AND '.join(conjuncts)}" if conjuncts else ""
 
 
-def derivability_pair(rng: random.Random) -> tuple[str, str]:
+def derivability_pair(rng: random.Random) -> tuple[Query, Query]:
     """One (report, meta-report) pair over ``t(k, x, y)`` and ``w(k2, z)``.
 
-    Half the meta-reports join ``w``; half the reports read ``t`` alone,
-    so a join-bearing meta-report over an unjoined report is the common
-    case the check must refuse. Reports over ``mr`` read the meta-report
-    view registered under that name.
+    Half the meta-reports join ``w``, and half of each kind hide the key
+    columns. Reports read ``t`` alone (so a join-bearing meta-report over
+    an unjoined report is a common case the check must refuse), the
+    meta-report view registered as ``mr``, or ``t JOIN w``; a quarter are a
+    UNION of two blocks, and half of the rest a bare ``SELECT *``.
     """
     if rng.random() < 0.5:
-        meta = (
-            "SELECT k, k2, x, y, z FROM t JOIN w ON k = k2"
-            + _where(rng, ["x", "y", "z"])
+        columns = rng.choice(["k, k2, x, y, z", "x, y, z"])
+        meta = f"SELECT {columns} FROM t JOIN w ON k = k2" + _where(rng, ["x", "y", "z"])
+    else:
+        columns = rng.choice(["k, x, y", "x, y"])
+        meta = f"SELECT {columns} FROM t{_where(rng, ['x', 'y'])}"
+    if rng.random() < 0.25:
+        report = _report_block(rng, star=False).union_with(
+            _report_block(rng, star=False)
         )
     else:
-        meta = f"SELECT k, x, y FROM t{_where(rng, ['x', 'y'])}"
-    shape = rng.choice(["base", "view", "join"])
-    if shape == "view":
-        report = f"SELECT x, y FROM mr{_where(rng, ['x', 'y'])}"
-    elif shape == "join":
-        report = "SELECT x, z FROM t JOIN w ON k = k2" + _where(rng, ["x", "y", "z"])
-    else:
-        report = f"SELECT x, y FROM t{_where(rng, ['x', 'y'])}"
-    return report, meta
+        report = _report_block(rng, star=rng.random() < 0.5)
+    return report, parse_query(meta)
+
+
+def _report_block(rng: random.Random, *, star: bool) -> Query:
+    source, where_columns, select = rng.choice(
+        [
+            ("t", ["x", "y"], "x, y"),
+            ("mr", ["x", "y"], "x, y"),
+            ("t JOIN w ON k = k2", ["x", "y", "z"], "x, z"),
+        ]
+    )
+    select = "*" if star else select
+    return parse_query(f"SELECT {select} FROM {source}{_where(rng, where_columns)}")
 
 
 def derivability_trial(n_pairs: int = 400, seed: int = 13) -> dict:
     """Certified derivability against execution.
 
-    A pair is sound when every row of the report's select-project-join core,
-    projected onto the columns the report reads, is a row of the meta-report
-    projected the same way.
+    A pair is sound when, for every SELECT block of the report, every row
+    of the block's select-project-join core, projected onto the columns
+    the block reads, is a row of the meta-report projected the same way.
+    The columns come from execution, not from the checker's own rule: the
+    executed block's schema plus every column the query names. A report
+    that reads a column the meta-report hides must be refused.
     """
     rng = random.Random(seed)
     cat = build_catalog()
@@ -169,20 +184,25 @@ def derivability_trial(n_pairs: int = 400, seed: int = 13) -> dict:
     )
     unsound = certified = incomplete = 0
     for _ in range(n_pairs):
-        report_sql, meta_sql = derivability_pair(rng)
-        report, meta = parse_query(report_sql), parse_query(meta_sql)
+        report, meta = derivability_pair(rng)
         cat.add_view(View("mr", meta), replace=True)
         verdict = check_derivability(report, "mr", meta, cat)
-        columns = sorted(source_columns_used(report))
-        meta_outputs = set(cat.output_names(meta))
-        if not set(columns) <= meta_outputs:
-            assert not verdict
-            continue
-        core = execute(spj_core(report), cat)
         approved = execute(meta, cat)
-        truth = {
-            tuple(row[c] for c in columns) for row in core.iter_dicts()
-        } <= {tuple(row[c] for c in columns) for row in approved.iter_dicts()}
+        truth: bool | None = True
+        for block in report.blocks():
+            columns = sorted(
+                set(execute(block, cat).schema.names) | block.columns_used()
+            )
+            if not set(columns) <= set(approved.schema.names):
+                truth = None
+                break
+            core = execute(spj_core(block), cat)
+            truth = truth and {
+                tuple(row[c] for c in columns) for row in core.iter_dicts()
+            } <= {tuple(row[c] for c in columns) for row in approved.iter_dicts()}
+        if truth is None:
+            assert not verdict, f"{report} reads columns {meta} hides"
+            continue
         if verdict:
             certified += 1
             if not truth:

@@ -35,7 +35,7 @@ def sweep(scenario, granularities=(1, 2, 4, 8, 16, 30), n_events: int = 60):
         metareports = generate_metareports(
             scenario.workload,
             scenario.universe_name,
-            scenario.wide_columns,
+            scenario.bi_catalog,
             max_metareports=g,
             name_prefix=f"g{g}_mr",
         )

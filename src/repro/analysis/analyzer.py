@@ -186,10 +186,7 @@ class StaticAnalyzer:
             return frozenset()
         for base in catalog.base_relations(relation):
             out.update(catalog.table(base).schema.names)
-        if catalog.is_view(relation):
-            view_outputs = catalog.view(relation).query.output_names()
-            if view_outputs:
-                out.update(view_outputs)
+        out.update(catalog.output_names(relation))
         return frozenset(out)
 
     # -- report level --------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import AnalysisError
-from repro.relational.catalog import MAX_VIEW_DEPTH, Catalog
+from repro.relational.catalog import MAX_VIEW_DEPTH, Catalog, joined_names
 from repro.relational.expressions import And, Col, Expr, conjuncts, disjuncts
 from repro.relational.query import Query
 
@@ -140,17 +140,13 @@ def _flows(
         for lcol, rcol in clause.on:
             condition_sources |= _lookup(left_cols, lcol, current.relation).sources
             condition_sources |= _lookup(right_cols, rcol, right.relation).sources
-        collisions = set(left_cols) & set(right_cols)
-        merged: list[tuple[str, ColumnFlow]] = []
-        for col, flow in current.columns:
-            key = f"{current.relation}.{col}" if col in collisions else col
-            merged.append((key, flow))
-        for col, flow in right.columns:
-            key = f"{right.relation}.{col}" if col in collisions else col
-            merged.append((key, flow))
+        names = joined_names(
+            current.names(), current.relation, right.names(), right.relation
+        )
+        flows = [flow for _, flow in current.columns + right.columns]
         current = QueryFlow(
             relation=f"{current.relation}_{right.relation}",
-            columns=tuple(merged),
+            columns=tuple(zip(names, flows)),
         )
 
     columns = current.as_dict()

@@ -33,7 +33,6 @@ from repro.core.containment import (
     is_contained,
     predicate_implies,
     proof_cache_stats,
-    source_columns_used,
 )
 from repro.core.elicitation import (
     ElicitationLedger,
@@ -111,7 +110,6 @@ __all__ = [
     "is_contained",
     "predicate_implies",
     "proof_cache_stats",
-    "source_columns_used",
     "to_etl_registry",
     "to_vpd_policy",
 ]

@@ -27,8 +27,8 @@ from repro.core.annotations import (
     IntensionalCondition,
     JoinPermission,
 )
-from repro.core.containment import DerivabilityResult, source_columns_used
-from repro.core.metareport import MetaReport, MetaReportSet
+from repro.core.containment import DerivabilityResult
+from repro.core.metareport import MetaReportSet
 from repro.obs import instrument
 from repro.obs.trace import TRACER
 from repro.relational.catalog import Catalog
@@ -247,8 +247,18 @@ class ComplianceChecker:
         violations: list[ComplianceViolation] = []
         obligations: list[RuntimeObligation] = []
         assert covering.pla is not None  # approved implies a PLA
+        # What the report shows (every UNION branch's outputs) and reads,
+        # both named as the engine names them.
+        outputs = {
+            name
+            for block in report.query.blocks()
+            for name in self.catalog.output_names(block)
+        }
+        used = self.catalog.input_names(report.query)
         for annotation in covering.pla.annotations:
-            self._check_annotation(report, covering, annotation, violations, obligations)
+            self._check_annotation(
+                report, outputs, used, annotation, violations, obligations
+            )
         return ComplianceVerdict(
             report=report.name,
             version=report.version,
@@ -264,14 +274,12 @@ class ComplianceChecker:
     def _check_annotation(
         self,
         report: ReportDefinition,
-        covering: MetaReport,
+        outputs: set[str],
+        used: frozenset[str],
         annotation: Annotation,
         violations: list[ComplianceViolation],
         obligations: list[RuntimeObligation],
     ) -> None:
-        outputs = set(report.columns() or ())
-        used = source_columns_used(report.query)
-
         if isinstance(annotation, AttributeAccess):
             # Displaying the attribute is access; so is *filtering or
             # grouping* on it — "drugs of the patient named X" discloses
@@ -305,7 +313,22 @@ class ComplianceChecker:
                 )
         elif isinstance(annotation, AnonymizationRequirement):
             if annotation.attribute in outputs or annotation.attribute in used:
-                obligations.append(RuntimeObligation("anonymize", annotation))
+                if report.query.set_ops:
+                    # As for suppress_cell below: a UNION can move the
+                    # attribute under another branch's column name, where
+                    # the enforcer cannot find it by name to anonymize it.
+                    violations.append(
+                        ComplianceViolation(
+                            annotation=annotation.describe(),
+                            reason=(
+                                "anonymization cannot be applied to a UNION "
+                                "report that reads the attribute; drop the "
+                                "attribute"
+                            ),
+                        )
+                    )
+                else:
+                    obligations.append(RuntimeObligation("anonymize", annotation))
         elif isinstance(annotation, JoinPermission):
             if not annotation.allowed:
                 footprint = self.source_footprint(report)
@@ -326,24 +349,26 @@ class ComplianceChecker:
             if not annotation.allowed:
                 obligations.append(RuntimeObligation("etl_integration", annotation))
         elif isinstance(annotation, IntensionalCondition):
-            relevant = (
-                annotation.attribute in outputs
-                or annotation.action == "suppress_row"
-            )
-            if relevant:
-                if report.query.is_aggregate and annotation.action == "suppress_cell":
-                    violations.append(
-                        ComplianceViolation(
-                            annotation=annotation.describe(),
-                            reason=(
-                                "cell-level intensional condition cannot be "
-                                "applied to an aggregate report; use "
-                                "suppress_row or drop the attribute"
-                            ),
-                        )
-                    )
-                else:
+            cell = annotation.action == "suppress_cell"
+            if cell and report.query.set_ops and annotation.attribute in used:
+                # A UNION can move the attribute under another branch's
+                # column name, where no cell can be blanked by name.
+                target = "a UNION report that reads the attribute"
+            elif cell and report.query.is_aggregate and annotation.attribute in outputs:
+                target = "an aggregate report"
+            else:
+                if not cell or annotation.attribute in outputs:
                     obligations.append(RuntimeObligation("intensional", annotation))
+                return
+            violations.append(
+                ComplianceViolation(
+                    annotation=annotation.describe(),
+                    reason=(
+                        "cell-level intensional condition cannot be applied "
+                        f"to {target}; use suppress_row or drop the attribute"
+                    ),
+                )
+            )
 
     def check_catalog(
         self, reports: tuple[ReportDefinition, ...]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import threading
 from functools import reduce
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.cache import LRUCache
@@ -45,7 +45,6 @@ __all__ = [
     "predicate_implies",
     "DerivabilityResult",
     "check_derivability",
-    "source_columns_used",
     "CanonicalQuery",
     "canonicalize",
     "spj_core",
@@ -487,7 +486,9 @@ def check_derivability(
 
     Conditions (all must hold):
 
-    1. every column the report uses is an output of the meta-report;
+    1. every column the report reads (:meth:`Catalog.input_names`, so a
+       bare ``SELECT *`` reads its whole FROM scope) is an output of the
+       meta-report;
     2. the meta-report is a non-aggregate, non-UNION view;
     3. one containment mapping takes the meta-report's canonical form onto
        the report's select-project-join core (:func:`spj_core`), view
@@ -535,10 +536,7 @@ def _check_derivability_uncached(
     # (sans set-op tail) and every branch independently, pooling reasons.
     if report_query.set_ops:
         reasons = []
-        blocks = (replace(report_query, set_ops=()),) + tuple(
-            clause.query for clause in report_query.set_ops
-        )
-        for block in blocks:
+        for block in report_query.blocks():
             part = _check_derivability_uncached(
                 block, metareport_name, metareport_query, catalog
             )
@@ -556,7 +554,7 @@ def _check_derivability_uncached(
         )
 
     reasons: list[str] = []
-    used = source_columns_used(report_query)
+    used = catalog.input_names(report_query)
     unknown = used - set(catalog.output_names(metareport_query))
     if unknown:
         reasons.append(
@@ -612,32 +610,3 @@ def _mapping_reasons(
         "the report predicate implying the meta-report's predicate "
         f"({report_query.where} vs {metareport_query.where})"
     ]
-
-
-def source_columns_used(query: Query) -> frozenset[str]:
-    """Columns a query reads from its *source relations*.
-
-    Unlike :meth:`Query.columns_used`, aggregate aliases and post-aggregation
-    references (SELECT/HAVING/ORDER BY over group outputs) are excluded —
-    those name query outputs, not source columns.
-    """
-    used: set[str] = set()
-    for clause in query.joins:
-        for lname, rname in clause.on:
-            used.add(lname)
-            used.add(rname)
-    if query.where is not None:
-        used.update(query.where.columns())
-    used.update(query.group_by)
-    for spec in query.aggregates:
-        if spec.column is not None:
-            used.add(spec.column)
-    if not query.is_aggregate:
-        for item in query.select:
-            if isinstance(item, str):
-                used.add(item)
-            else:
-                used.update(item[1].columns())
-        for column, _ in query.order:
-            used.add(column)
-    return frozenset(used)

@@ -26,7 +26,6 @@ import abc
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.containment import source_columns_used
 from repro.core.metareport import MetaReportSet
 from repro.core.pla import PlaLevel
 from repro.relational.catalog import Catalog
@@ -169,8 +168,9 @@ class SourceLevel(EngineeringLevel):
 
     level = PlaLevel.SOURCE
 
-    def __init__(self, providers: Sequence[DataProvider]) -> None:
+    def __init__(self, providers: Sequence[DataProvider], catalog: Catalog) -> None:
         self.providers = list(providers)
+        self.catalog = catalog
 
     def artifacts(self) -> list[ElicitationArtifact]:
         out = []
@@ -211,7 +211,7 @@ class SourceLevel(EngineeringLevel):
         """
         used_columns: set[str] = set()
         for report in workload:
-            used_columns.update(source_columns_used(report.query))
+            used_columns.update(self.catalog.input_names(report.query))
         total = 0
         used = 0
         for provider in self.providers:
@@ -236,10 +236,12 @@ class WarehouseLevel(EngineeringLevel):
         warehouse_tables: Sequence[tuple[str, int]],  # (name, n_columns)
         etl_flows: Sequence[tuple[str, int]],  # (name, n_operators)
         warehouse_columns: frozenset[str],
+        catalog: Catalog,
     ) -> None:
         self.warehouse_tables = list(warehouse_tables)
         self.etl_flows = list(etl_flows)
         self.warehouse_columns = warehouse_columns
+        self.catalog = catalog
 
     def artifacts(self) -> list[ElicitationArtifact]:
         out = [
@@ -258,7 +260,7 @@ class WarehouseLevel(EngineeringLevel):
         if event.kind in (EvolutionKind.ADD_COLUMN, EvolutionKind.CHANGE_GROUPING):
             return event.column in self.warehouse_columns
         if event.kind is EvolutionKind.ADD_REPORT and event.definition is not None:
-            used = source_columns_used(event.definition.query)
+            used = self.catalog.input_names(event.definition.query)
             return used <= self.warehouse_columns
         return True
 
@@ -268,7 +270,7 @@ class WarehouseLevel(EngineeringLevel):
         if event.column is not None:
             self.warehouse_columns = self.warehouse_columns | {event.column}
         if event.kind is EvolutionKind.ADD_REPORT and event.definition is not None:
-            self.warehouse_columns = self.warehouse_columns | source_columns_used(
+            self.warehouse_columns = self.warehouse_columns | self.catalog.input_names(
                 event.definition.query
             )
 
@@ -279,7 +281,7 @@ class WarehouseLevel(EngineeringLevel):
         "reduced, yet not eliminated"."""
         used_columns: set[str] = set()
         for report in workload:
-            used_columns.update(source_columns_used(report.query))
+            used_columns.update(self.catalog.input_names(report.query))
         if not self.warehouse_columns:
             return 0.0
         used = len(used_columns & self.warehouse_columns)
@@ -340,7 +342,7 @@ class MetaReportLevel(EngineeringLevel):
         covering, _ = self.metareports.find_covering(report, self.catalog)
         if covering is not None:
             return True
-        used = source_columns_used(report.query)
+        used = self.catalog.input_names(report.query)
         return any(
             used <= self._extended_columns(m.name) for m in self.metareports
         )
@@ -369,7 +371,7 @@ class MetaReportLevel(EngineeringLevel):
         if not self._is_covered(updated):
             # Re-elicitation outcome: extend the best-overlapping meta-report
             # with the missing columns; the owner approves the wider view.
-            used = source_columns_used(updated.query)
+            used = self.catalog.input_names(updated.query)
             best = max(
                 self.metareports,
                 key=lambda m: len(used & self._extended_columns(m.name)),
@@ -396,7 +398,7 @@ class MetaReportLevel(EngineeringLevel):
         construction — they were generated from the workload)."""
         used_columns: set[str] = set()
         for report in workload:
-            used_columns.update(source_columns_used(report.query))
+            used_columns.update(self.catalog.input_names(report.query))
         total = self.metareports.total_columns()
         if total == 0:
             return 0.0

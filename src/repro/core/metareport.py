@@ -16,7 +16,7 @@ whole-warehouse universe, len(workload) = per-report).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
 
@@ -26,7 +26,6 @@ from repro.core.containment import (
     NotConjunctive,
     canonicalize,
     check_derivability,
-    source_columns_used,
     spj_core,
 )
 from repro.core.pla import PLA, PlaStatus
@@ -199,8 +198,9 @@ def effective_region(
     # branch regions; one unrestricted branch makes the whole query
     # unrestricted. Each branch resolves its own view chain independently.
     if query.set_ops:
-        blocks = [replace(query, set_ops=())] + [c.query for c in query.set_ops]
-        regions = [effective_region(b, catalog, universe=universe) for b in blocks]
+        regions = [
+            effective_region(b, catalog, universe=universe) for b in query.blocks()
+        ]
         if any(region is None for region in regions):
             return None
         return reduce(Or, regions)  # type: ignore[arg-type]
@@ -229,28 +229,29 @@ def effective_region(
 def generate_metareports(
     workload: Sequence[ReportDefinition],
     universe_name: str,
-    universe_columns: Sequence[str],
+    catalog: Catalog,
     *,
     max_metareports: int,
     name_prefix: str = "mr",
 ) -> MetaReportSet:
     """Cluster a report workload into at most ``max_metareports`` meta-reports.
 
-    Each report contributes its source-column footprint (restricted to the
-    universe's columns). Footprints are clustered by greedy highest-Jaccard
-    merging; each final cluster becomes one meta-report: an unfiltered
-    projection of the universe onto the union of its footprints, in universe
-    column order (unfiltered and maximally wide = maximally stable).
+    Each report contributes the columns it reads (``catalog.input_names``),
+    restricted to the universe's columns (``catalog.output_names``).
+    Footprints are clustered by greedy highest-Jaccard merging; each final
+    cluster becomes one meta-report: an unfiltered projection of the
+    universe onto the union of its footprints, in universe column order
+    (unfiltered and maximally wide = maximally stable).
     """
     if max_metareports < 1:
         raise PolicyError("max_metareports must be at least 1")
     if not workload:
         raise PolicyError("cannot generate meta-reports from an empty workload")
-    universe_set = set(universe_columns)
+    universe_columns = catalog.output_names(universe_name)
 
-    footprints: list[set[str]] = []
+    footprints: list[frozenset[str]] = []
     for report in workload:
-        used = {c for c in source_columns_used(report.query) if c in universe_set}
+        used = catalog.input_names(report.query).intersection(universe_columns)
         if not used:
             raise PolicyError(
                 f"report {report.name!r} uses no column of universe "

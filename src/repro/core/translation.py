@@ -15,7 +15,7 @@ Three translations live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.errors import ComplianceError, EnforcementError
@@ -173,12 +173,13 @@ class ReportLevelEnforcer:
         condition column away (it exists only "for purposes of defining
         PLAs"). In that case the enforcer extends the view one level — its
         FROM, joins included, still carries the column — and points the
-        query at the extended view. Raises when the column is genuinely absent.
+        query at the extended view. Raises when the column is genuinely
+        absent. A query that joins is returned as it is.
         """
-        from dataclasses import replace as _replace
-
         from repro.relational.catalog import View
 
+        if query.joins:
+            return query
         source = query.source
         available = self.catalog.output_names(source)
         missing = {c for c in columns if c not in available}
@@ -190,15 +191,14 @@ class ReportLevelEnforcer:
                 f"from base table {source!r}"
             )
         view_query = self.catalog.view(source).query
-        view_outputs = view_query.output_names()
-        upstream = self.catalog.output_names(_replace(view_query, select=()))
-        if view_outputs is None or not missing <= set(upstream):
+        upstream = self.catalog.output_names(replace(view_query, select=()))
+        if not view_query.select or not missing <= set(upstream):
             raise EnforcementError(
                 f"cannot reach hidden column(s) {sorted(missing)} through "
                 f"view {source!r}"
             )
         extended_name = f"{source}__plaext"
-        extended = view_query.project(*view_outputs, *sorted(missing))
+        extended = view_query.project(*view_query.select, *sorted(missing))
         # Re-registering is catalog DDL: it bumps ddl_version, evicting every
         # cached plan and re-keying every verdict over this catalog. Deliveries
         # run under the daemon's read lock, so reuse an identical definition.
@@ -207,7 +207,7 @@ class ReportLevelEnforcer:
             and self.catalog.view(extended_name).query == extended
         ):
             self.catalog.add_view(View(extended_name, extended), replace=True)
-        return _replace(query, source=extended_name)
+        return replace(query, source=extended_name)
 
     def _rewrite_for_intensional(
         self,
@@ -219,24 +219,35 @@ class ReportLevelEnforcer:
         needed: set[str] = set()
         for condition in conditions:
             needed |= set(condition.condition.columns())
-        if needed and not query.joins:
+        if needed:
             query = self._ensure_columns_available(query, needed)
-        outputs = set(report.columns() or ())
+        if needed and query.set_ops:
+            # Every UNION branch gets the pre-filter below, so each one
+            # must reach the hidden columns too.
+            query = replace(
+                query,
+                set_ops=tuple(
+                    replace(c, query=self._ensure_columns_available(c.query, needed))
+                    for c in query.set_ops
+                ),
+            )
+        outputs = set(self.catalog.output_names(report.query))
+        # Aggregates and UNIONs take suppress_row as a WHERE pre-filter:
+        # grouping hides the condition's columns, and a UNION's output
+        # column can hold another branch's attribute under the same name.
+        prefilter = query.is_aggregate or bool(query.set_ops)
         hidden: list[str] = []
         for condition in conditions:
             assert isinstance(condition, IntensionalCondition)
             for column in sorted(condition.hidden_columns(outputs)):
                 if column in hidden:
                     continue
-                if query.is_aggregate:
+                if prefilter:
                     if condition.action == "suppress_row":
-                        # Row suppression on aggregates applies *before*
-                        # grouping, so the condition becomes a WHERE filter
-                        # and no hidden column is needed.
                         continue
                     raise EnforcementError(
                         "cell-level intensional condition with hidden "
-                        "columns cannot attach to an aggregate report"
+                        "columns cannot attach to an aggregate or UNION report"
                     )
                 if not query.select:
                     raise EnforcementError(
@@ -245,9 +256,8 @@ class ReportLevelEnforcer:
                     )
                 query = query.project(*query.select, column)
                 hidden.append(column)
-        # suppress_row conditions on aggregate reports become pre-filters.
         for condition in conditions:
-            if condition.action == "suppress_row" and query.is_aggregate:
+            if condition.action == "suppress_row" and prefilter:
                 query = query.filter(condition.condition)
         return query, hidden
 

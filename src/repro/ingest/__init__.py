@@ -36,14 +36,13 @@ from repro.ingest.compile import (
 from repro.ingest.dialects import DIALECTS, Dialect
 from repro.ingest.parser import SuiteParser, parse_suite_text
 from repro.ingest.render import render_expr, render_query
-from repro.ingest.resolve import Scope, resolve_query
+from repro.ingest.resolve import resolve_query
 
 __all__ = [
     "DIALECTS",
     "Dialect",
     "IngestResult",
     "IngestedStatement",
-    "Scope",
     "SuiteParser",
     "emit_deployment",
     "ingest_suite",

@@ -41,7 +41,7 @@ from repro.ingest.parser import (
     parse_one,
     split_statements,
 )
-from repro.ingest.resolve import Scope, resolve_query
+from repro.ingest.resolve import resolve_query
 from repro.relational.catalog import Catalog, View
 from repro.relational.query import Query
 from repro.reports.definition import ReportDefinition
@@ -151,7 +151,6 @@ def ingest_suite(
     forced = get_dialect(dialect) if dialect is not None else None
 
     result = IngestResult()
-    scope = Scope(catalog)
     overlay = _overlay_catalog(catalog)
     taken_names: set[str] = set()
     baseline = _baseline_condition_sources(catalog)
@@ -163,9 +162,7 @@ def ingest_suite(
         file_diag = forced or _resolve_file_dialect(path, text, result)
         if file_diag is None:
             continue
-        _ingest_file(
-            path, text, file_diag, scope, overlay, taken_names, baseline, result
-        )
+        _ingest_file(path, text, file_diag, overlay, taken_names, baseline, result)
 
     result.diagnostics.coverage = {
         "files": n_files,
@@ -217,7 +214,6 @@ def _ingest_file(
     path: Path,
     text: str,
     dialect: Dialect,
-    scope: Scope,
     overlay: Catalog,
     taken_names: set[str],
     baseline: frozenset[str],
@@ -252,7 +248,7 @@ def _ingest_file(
             )
             continue
         _compile_statement(
-            statement, path, dialect, scope, overlay, taken_names, baseline, result
+            statement, path, dialect, overlay, taken_names, baseline, result
         )
 
 
@@ -289,7 +285,6 @@ def _compile_statement(
     statement: RawStatement,
     path: Path,
     dialect: Dialect,
-    scope: Scope,
     overlay: Catalog,
     taken_names: set[str],
     baseline: frozenset[str],
@@ -321,7 +316,7 @@ def _compile_statement(
             )
         )
 
-    if name in taken_names or (statement.kind == "view" and scope.has(name)):
+    if name in taken_names or (statement.kind == "view" and name in overlay):
         result.diagnostics.add(
             Diagnostic(
                 code="ING008",
@@ -335,33 +330,30 @@ def _compile_statement(
         return
 
     # Resolve the hoisted synthetic views in definition order (inner before
-    # outer), extending the scope as we go so CTE chains see each other,
-    # then the statement's main query.
+    # outer), registering each in the overlay as we go so CTE chains see
+    # each other, then the statement's main query.
     diagnostics: list[Diagnostic] = []
-    added: list[tuple[str, Query]] = []
+    added: list[View] = []
     for synth_name, synth_query in statement.synthetic_views:
-        diagnostics.extend(resolve_query(synth_query, scope, location=location))
-        scope.add_view(synth_name, synth_query)
-        added.append((synth_name, synth_query))
-    diagnostics.extend(resolve_query(statement.query, scope, location=location))
-
-    errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-    result.diagnostics.extend(diagnostics)
-    if errors:
-        # Fail closed: withdraw the synthetic views; the statement
-        # contributes nothing to the compiled catalog.
-        for synth_name, _ in added:
-            scope.suite_views.pop(synth_name, None)
-        return
-
-    for synth_name, synth_query in added:
+        diagnostics.extend(resolve_query(synth_query, overlay, location=location))
         view = View(
             synth_name,
             synth_query,
             description=f"hoisted from {origin} ({dialect.name})",
         )
         overlay.add_view(view)
-        result.views.append(view)
+        added.append(view)
+    diagnostics.extend(resolve_query(statement.query, overlay, location=location))
+
+    errors = [d for d in diagnostics if d.severity is Severity.ERROR]
+    result.diagnostics.extend(diagnostics)
+    if errors:
+        # Fail closed: withdraw the synthetic views; the statement
+        # contributes nothing to the compiled catalog.
+        for view in added:
+            overlay.drop(view.name)
+        return
+    result.views.extend(added)
 
     if statement.kind == "view":
         view = View(
@@ -369,7 +361,6 @@ def _compile_statement(
             statement.query,
             description=f"ingested from {origin} ({dialect.name})",
         )
-        scope.add_view(name, statement.query)
         overlay.add_view(view)
         result.views.append(view)
         taken_names.add(name)

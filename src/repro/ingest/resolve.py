@@ -1,158 +1,93 @@
 """Name resolution for ingested statements, with typed ING diagnostics.
 
-Resolution runs against a :class:`Scope`: the deployment's star-schema
-catalog (tables, views, meta-report views) plus the suite's own definitions
-in file order. Every failure is a typed diagnostic, never an exception —
-ingestion fails closed per statement, not per suite:
+Resolution runs against a :class:`~repro.relational.catalog.Catalog`: the
+deployment's star-schema catalog (tables, views, meta-report views) plus
+the suite's own definitions accepted so far, in file order. Names resolve
+as the engine names them (:meth:`Catalog.scope`): a join qualifies the
+columns its two sides both carry as ``relation.column``, and a view shows
+its own output names. Every failure is a typed diagnostic, never an
+exception — ingestion fails closed per statement, not per suite:
 
 * ING001 (error) — a FROM/JOIN names a relation nobody defines;
 * ING002 (error) — a column reference nothing in scope provides;
-* ING003 (error) — an unqualified column matches several FROM relations;
+* ING003 (error) — an unqualified column that a join qualified on several
+  FROM relations;
 * ING009 (error) — UNION branches disagree on column count.
 
-The checks deliberately mirror how the engine and the dataflow pass will
-later interpret the query (joins concatenate outputs, set operations align
-positionally), so a statement that resolves cleanly here cannot blow up as
-an untyped error further down the pipeline.
+A column reference first matches a name the FROM scope shows, then a
+dotted ``relation.column`` matches that relation's column, as
+:func:`~repro.core.containment.canonicalize` resolves it. The suite's own
+views live in the same catalog (ingestion's overlay), so a view chain
+resolves exactly as the executor will expand it.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from typing import Callable
 
 from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.errors import CatalogError
 from repro.relational.catalog import Catalog
 from repro.relational.query import Query
 
-__all__ = ["Scope", "resolve_query"]
-
-_MAX_DEPTH = 32
-
-
-class Scope:
-    """What an ingested statement can see: catalog + earlier suite views."""
-
-    def __init__(
-        self, catalog: Catalog, suite_views: dict[str, Query] | None = None
-    ) -> None:
-        self.catalog = catalog
-        self.suite_views: dict[str, Query] = dict(suite_views or {})
-
-    def add_view(self, name: str, query: Query) -> None:
-        self.suite_views[name] = query
-
-    def has(self, name: str) -> bool:
-        return (
-            name in self.suite_views
-            or self.catalog.is_table(name)
-            or self.catalog.is_view(name)
-        )
-
-    def outputs(self, name: str, *, _depth: int = 0) -> tuple[str, ...] | None:
-        """Output column names of a relation; ``None`` if unresolvable."""
-        if _depth > _MAX_DEPTH:
-            return None
-        if name in self.suite_views:
-            return self.query_outputs(self.suite_views[name], _depth=_depth + 1)
-        if self.catalog.is_table(name):
-            return tuple(self.catalog.table(name).schema.names)
-        if self.catalog.is_view(name):
-            return self.query_outputs(
-                self.catalog.view(name).query, _depth=_depth + 1
-            )
-        return None
-
-    def query_outputs(
-        self, query: Query, *, _depth: int = 0
-    ) -> tuple[str, ...] | None:
-        """Output column names of a query; expands bare ``SELECT *``."""
-        names = query.output_names()
-        if names is not None:
-            return names
-        parts: list[str] = []
-        for relation in (query.source,) + tuple(j.table for j in query.joins):
-            outs = self.outputs(relation, _depth=_depth + 1)
-            if outs is None:
-                return None
-            parts.extend(outs)
-        return tuple(parts)
+__all__ = ["resolve_query"]
 
 
 def resolve_query(
-    query: Query, scope: Scope, *, location: str
+    query: Query, catalog: Catalog, *, location: str
 ) -> list[Diagnostic]:
     """All resolution diagnostics for ``query`` (head and UNION branches)."""
     out: list[Diagnostic] = []
-    _resolve_block(query, scope, location, out)
+
+    def error(code: str, message: str, fix_hint: str) -> None:
+        out.append(Diagnostic(code, Severity.ERROR, location, message, fix_hint))
+
+    for block in query.blocks():
+        _resolve_block(block, catalog, error)
 
     # Positional set-operation alignment (ING009): only meaningful when
     # both sides resolved; unresolvable sides already carry their own
     # errors above.
-    head = replace(query, set_ops=())
-    head_outs = scope.query_outputs(head)
-    for clause in query.set_ops:
-        branch_outs = scope.query_outputs(clause.query)
-        if head_outs is None or branch_outs is None:
-            continue
-        if len(head_outs) != len(branch_outs):
-            out.append(
-                Diagnostic(
-                    code="ING009",
-                    severity=Severity.ERROR,
-                    location=location,
-                    message=(
-                        f"UNION branches produce {len(head_outs)} vs "
-                        f"{len(branch_outs)} column(s); a positional union "
-                        "cannot align them"
-                    ),
-                    fix_hint="give every branch the same SELECT list width",
-                )
+    head, *branches = [_width(catalog, block) for block in query.blocks()]
+    for width in branches:
+        if head is not None and width is not None and width != head:
+            error(
+                "ING009",
+                f"UNION branches produce {head} vs {width} column(s); "
+                "a positional union cannot align them",
+                "give every branch the same SELECT list width",
             )
     return out
 
 
+def _width(catalog: Catalog, block: Query) -> int | None:
+    try:
+        return len(catalog.output_names(block))
+    except CatalogError:
+        return None
+
+
 def _resolve_block(
-    query: Query, scope: Scope, location: str, out: list[Diagnostic]
+    block: Query, catalog: Catalog, error: Callable[[str, str, str], None]
 ) -> None:
-    block = replace(query, set_ops=())
     relations = (block.source,) + tuple(j.table for j in block.joins)
-
-    missing = [name for name in relations if not scope.has(name)]
+    missing = [name for name in relations if name not in catalog]
     for name in missing:
-        out.append(
-            Diagnostic(
-                code="ING001",
-                severity=Severity.ERROR,
-                location=location,
-                message=f"unknown relation {name!r}: not a star-schema "
-                "table, catalog view, or suite definition",
-                fix_hint="check the spelling, or define the view earlier "
-                "in the suite",
-            )
+        error(
+            "ING001",
+            f"unknown relation {name!r}: not a star-schema table, catalog "
+            "view, or suite definition",
+            "check the spelling, or define the view earlier in the suite",
         )
-    if not missing:
-        _resolve_columns(block, relations, scope, location, out)
-
-    for clause in query.set_ops:
-        _resolve_block(clause.query, scope, location, out)
-
-
-def _resolve_columns(
-    block: Query,
-    relations: tuple[str, ...],
-    scope: Scope,
-    location: str,
-    out: list[Diagnostic],
-) -> None:
-    provided: dict[str, list[str]] = {}
-    for relation in relations:
-        outs = scope.outputs(relation)
-        if outs is None:
-            # A relation in scope but with an unresolvable definition: the
-            # statement that defined it already carries the diagnostics.
-            return
-        for column in outs:
-            provided.setdefault(column, []).append(relation)
+    if missing:
+        return
+    try:
+        scope = catalog.scope(block)
+    except CatalogError:
+        # A relation in scope but with an unresolvable definition: the
+        # statement that defined it already carries the diagnostics.
+        return
+    visible = {name for name, _, _ in scope}
 
     # Aggregate and projection aliases name the block's own outputs;
     # HAVING/ORDER BY may reference them even though no relation provides
@@ -162,53 +97,35 @@ def _resolve_columns(
     }
 
     for name in sorted(block.columns_used()):
-        if name in own_outputs:
+        if name in own_outputs or name in visible:
             continue
-        if "." in name:
-            relation, column = name.rsplit(".", 1)
-            if relation not in relations:
-                out.append(
-                    Diagnostic(
-                        code="ING002",
-                        severity=Severity.ERROR,
-                        location=location,
-                        message=f"qualified name {name!r} references a "
-                        "relation that is not in this statement's FROM",
-                        fix_hint="qualify with a relation the block joins",
-                    )
+        relation, dot, column = name.partition(".")
+        if not dot:
+            # Not shown under this name: a join qualified it on every side.
+            owners = sorted({r for _, r, c in scope if c == name})
+            if owners:
+                error(
+                    "ING003",
+                    f"ambiguous column {name!r}: provided by {', '.join(owners)}",
+                    "qualify the name as relation.column",
                 )
-            elif column not in (scope.outputs(relation) or ()):
-                out.append(
-                    Diagnostic(
-                        code="ING002",
-                        severity=Severity.ERROR,
-                        location=location,
-                        message=f"unknown column {name!r}: "
-                        f"{relation!r} does not provide {column!r}",
-                        fix_hint=f"available: {', '.join(scope.outputs(relation) or ())}",
-                    )
+            else:
+                error(
+                    "ING002",
+                    f"unknown column {name!r}: no relation in this statement's "
+                    "FROM provides it",
+                    f"relations in scope: {', '.join(relations)}",
                 )
-            continue
-        owners = provided.get(name, [])
-        if not owners:
-            out.append(
-                Diagnostic(
-                    code="ING002",
-                    severity=Severity.ERROR,
-                    location=location,
-                    message=f"unknown column {name!r}: no relation in this "
-                    "statement's FROM provides it",
-                    fix_hint=f"relations in scope: {', '.join(relations)}",
-                )
+        elif relation not in relations:
+            error(
+                "ING002",
+                f"qualified name {name!r} references a relation that is not "
+                "in this statement's FROM",
+                "qualify with a relation the block joins",
             )
-        elif len(owners) > 1:
-            out.append(
-                Diagnostic(
-                    code="ING003",
-                    severity=Severity.ERROR,
-                    location=location,
-                    message=f"ambiguous column {name!r}: provided by "
-                    f"{', '.join(sorted(set(owners)))}",
-                    fix_hint="qualify the name as relation.column",
-                )
+        elif column not in catalog.output_names(relation):
+            error(
+                "ING002",
+                f"unknown column {name!r}: {relation!r} does not provide {column!r}",
+                f"available: {', '.join(catalog.output_names(relation))}",
             )

@@ -6,11 +6,18 @@ in the Hippocratic Database" as source-level enforcement mechanisms. This
 module implements that mechanism over our engine: per-relation row-level
 predicates (possibly context-dependent) and column masks are injected into
 every query before execution.
+
+Masks follow the engine's naming (:meth:`Catalog.scope`): a bare ``SELECT *``
+is expanded to its whole FROM scope, joined relations included, and a mask
+on base table R's column c covers every name in that scope whose values
+come from R.c (:meth:`Catalog.sources`): ``c`` itself, ``R.c`` where a join
+qualified it, and a view's column copied or computed from it, however the
+view names it; never another relation's ``c``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.errors import PolicyError, QueryError
@@ -32,9 +39,6 @@ class ColumnMask:
 
     column: str
     replacement: object = None
-
-    def as_select_item(self) -> tuple[str, Expr]:
-        return (self.column, Lit(self.replacement))
 
 
 @dataclass
@@ -85,10 +89,18 @@ class VPDPolicy:
         non-null-extended relations; rules over any null-extended side of an
         outer join — the right side of LEFT, the accumulated left side of
         RIGHT, both sides of FULL — are rejected rather than silently
-        weakened).
+        weakened). A UNION is rewritten block by block, each under the
+        rules of the relations it reads.
         """
+        if query.set_ops:
+            return replace(
+                self.rewrite(query.blocks()[0], catalog, context),
+                set_ops=tuple(
+                    replace(c, query=self.rewrite(c.query, catalog, context))
+                    for c in query.set_ops
+                ),
+            )
         rewritten = query
-        n_head = 1 + len(query.joins)
         for position, relation in enumerate(query.referenced_relations()):
             bases = catalog.base_relations(relation)
             for base in sorted(bases):
@@ -96,14 +108,9 @@ class VPDPolicy:
                 if rule is None:
                     continue
                 null_extended = (
-                    0 < position < n_head
-                    and query.joins[position - 1].how in ("left", "full")
-                ) or (
-                    position < n_head
-                    and any(
-                        clause.how in ("right", "full")
-                        for clause in query.joins[position:]
-                    )
+                    position > 0 and query.joins[position - 1].how in ("left", "full")
+                ) or any(
+                    clause.how in ("right", "full") for clause in query.joins[position:]
                 )
                 if null_extended:
                     raise QueryError(
@@ -114,7 +121,7 @@ class VPDPolicy:
                 if predicate is not None:
                     rewritten = rewritten.filter(predicate)
                 rewritten = self._apply_masks(
-                    rewritten, rule.masks_for(context), catalog, relation
+                    rewritten, rule.masks_for(context), catalog, relation, base
                 )
         return rewritten
 
@@ -124,58 +131,43 @@ class VPDPolicy:
         masks: tuple[ColumnMask, ...],
         catalog: Catalog,
         relation: str,
+        base: str,
     ) -> Query:
         if not masks:
             return query
-        masked_names = {m.column for m in masks}
+        by_column = {m.column: m for m in masks}
+        traced = dict(zip(catalog.output_names(relation), catalog.sources(relation)))
+        masked = {
+            name: by_column[source]
+            for name, origin, column in catalog.scope(query)
+            if origin == relation
+            for table, source in sorted(traced[column])
+            if table == base and source in by_column
+        }
+        if not masked:
+            return query
         if query.is_aggregate:
             # Masked columns must not feed aggregates or grouping at all.
             used = set(query.group_by) | {
                 a.column for a in query.aggregates if a.column is not None
             }
-            blocked = used & masked_names
+            blocked = used & masked.keys()
             if blocked:
                 raise QueryError(
                     f"query aggregates over masked column(s) {sorted(blocked)}"
                 )
             return query
-        if query.select:
-            new_items = []
-            for item in query.select:
-                if isinstance(item, str) and item in masked_names:
-                    mask = next(m for m in masks if m.column == item)
-                    new_items.append(mask.as_select_item())
-                elif not isinstance(item, str) and (
-                    item[1].columns() & masked_names
-                ):
-                    raise QueryError(
-                        f"computed column {item[0]!r} reads masked column(s)"
-                    )
-                else:
-                    new_items.append(item)
-            return query.project(*new_items)
-        # SELECT *: expand to the relation's full column list, masking as we go.
-        names = self._output_names(catalog, relation)
-        items: list[str | tuple[str, Expr]] = []
-        for name in names:
-            if name in masked_names:
-                mask = next(m for m in masks if m.column == name)
-                items.append(mask.as_select_item())
+        # A bare SELECT * expands to the whole FROM scope before masking.
+        items = query.select or catalog.output_names(query)
+        new_items: list[str | tuple[str, Expr]] = []
+        for item in items:
+            if isinstance(item, str) and item in masked:
+                new_items.append((item, Lit(masked[item].replacement)))
+            elif not isinstance(item, str) and (item[1].columns() & masked.keys()):
+                raise QueryError(f"computed column {item[0]!r} reads masked column(s)")
             else:
-                items.append(name)
-        return query.project(*items)
-
-    @staticmethod
-    def _output_names(catalog: Catalog, relation: str) -> tuple[str, ...]:
-        if catalog.is_table(relation):
-            return catalog.table(relation).schema.names
-        view_query = catalog.view(relation).query
-        names = view_query.output_names()
-        if names is None:
-            raise QueryError(
-                f"cannot expand SELECT * through view {relation!r} with SELECT *"
-            )
-        return names
+                new_items.append(item)
+        return query.project(*new_items)
 
     def run(
         self,

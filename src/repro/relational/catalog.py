@@ -220,6 +220,52 @@ class Catalog:
         """
         return self._output_names(source, 0)
 
+    def scope(self, query: Query) -> tuple[tuple[str, str, str], ...]:
+        """What ``query``'s FROM and JOINs yield, one ``(name, relation,
+        column)`` per column in order: the name the engine gives it (bare
+        ``SELECT *`` shows these names), the FROM/JOIN relation that
+        provides it, and that relation's own name for it."""
+        return self._scope(query, 0)
+
+    def input_names(self, query: Query) -> frozenset[str]:
+        """Column names ``query`` reads from the relations it ranges over.
+
+        JOIN ON and WHERE columns, GROUP BY columns and aggregate inputs,
+        and in a non-aggregate block its SELECT list and ORDER BY; a bare
+        ``SELECT *`` reads every column of its FROM scope, under the names
+        :meth:`output_names` gives them. Aggregate aliases and HAVING name
+        outputs, not inputs. A UNION reads what each of its branches reads,
+        which covers what each branch shows.
+        """
+        used: set[str] = set()
+        for block in query.blocks():
+            used.update(c for clause in block.joins for pair in clause.on for c in pair)
+            if block.where is not None:
+                used.update(block.where.columns())
+            used.update(block.group_by)
+            used.update(a.column for a in block.aggregates if a.column is not None)
+            if not block.is_aggregate:
+                for item in block.select or self.output_names(block):
+                    used.update((item,) if isinstance(item, str) else item[1].columns())
+                used.update(column for column, _ in block.order)
+        return frozenset(used)
+
+    def sources(self, source: str | Query) -> tuple[frozenset[tuple[str, str]], ...]:
+        """Where each of :meth:`output_names`' columns comes from, in order:
+        the base ``(table, column)`` pairs its values are copied or computed
+        from, through views, joins, aggregates and every UNION branch (an
+        output column holds each branch's column at its position)."""
+        return self._sources(source, 0)
+
+    def input_sources(self, query: Query) -> frozenset[tuple[str, str]]:
+        """The base ``(table, column)`` pairs behind :meth:`input_names`."""
+        out: set[tuple[str, str]] = set()
+        for block in query.blocks():
+            scope = dict(self._scope_sources(block, 0))
+            for name in self.input_names(block):
+                out.update(scope.get(name, ()))
+        return frozenset(out)
+
     def _output_names(self, source: str | Query, depth: int) -> tuple[str, ...]:
         if isinstance(source, str):
             if source in self._tables:
@@ -230,13 +276,58 @@ class Catalog:
         names = source.output_names()
         if names is not None:
             return names
-        names = self._output_names(source.source, depth)
-        left = source.source
-        for clause in source.joins:
-            right = self._output_names(clause.table, depth)
-            names = joined_names(names, left, right, clause.table)
+        return tuple(name for name, _, _ in self._scope(source, depth))
+
+    def _scope(self, query: Query, depth: int) -> tuple[tuple[str, str, str], ...]:
+        columns = [(c, query.source, c) for c in self._output_names(query.source, depth)]
+        left = query.source
+        for clause in query.joins:
+            right = [
+                (c, clause.table, c) for c in self._output_names(clause.table, depth)
+            ]
+            names = joined_names(
+                tuple(n for n, _, _ in columns), left,
+                tuple(n for n, _, _ in right), clause.table,
+            )
+            columns = [(n, r, c) for n, (_, r, c) in zip(names, columns + right)]
             left = f"{left}_{clause.table}"
-        return names
+        return tuple(columns)
+
+    def _sources(
+        self, source: str | Query, depth: int
+    ) -> tuple[frozenset[tuple[str, str]], ...]:
+        if isinstance(source, str):
+            if source in self._tables:
+                names = self._tables[source].schema.names
+                return tuple(frozenset([(source, c)]) for c in names)
+            if depth > MAX_VIEW_DEPTH:
+                raise CatalogError(f"view nesting deeper than {MAX_VIEW_DEPTH}; cycle?")
+            return self._sources(self.view(source).query, depth + 1)
+        merged: list[frozenset[tuple[str, str]]] | None = None
+        for block in source.blocks():
+            scope = self._scope_sources(block, depth)
+            if block.is_aggregate:
+                found = dict(scope)
+                scope = [(g, found.get(g, frozenset())) for g in block.group_by] + [
+                    (a.alias, found.get(a.column, frozenset())) for a in block.aggregates
+                ]
+            found = dict(scope)
+            outputs = [
+                found.get(item, frozenset())
+                if isinstance(item, str)
+                else frozenset().union(*(found.get(c, ()) for c in item[1].columns()))
+                for item in block.select
+            ] or [traced for _, traced in scope]
+            merged = outputs if merged is None else [a | b for a, b in zip(merged, outputs)]
+        return tuple(merged or ())
+
+    def _scope_sources(
+        self, block: Query, depth: int
+    ) -> list[tuple[str, frozenset[tuple[str, str]]]]:
+        """Each name ``block``'s FROM scope shows, with its :meth:`sources`."""
+        relations = (block.source,) + tuple(clause.table for clause in block.joins)
+        traced = [s for relation in relations for s in self._sources(relation, depth)]
+        return [(name, s) for (name, _, _), s in zip(self._scope(block, depth), traced)]
 
     def base_relations_of_query(self, query: Query) -> frozenset[str]:
         """Transitive base tables referenced anywhere in ``query``."""

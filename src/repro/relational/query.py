@@ -209,11 +209,19 @@ class Query:
             out += clause.query.referenced_relations()
         return out
 
+    def blocks(self) -> tuple["Query", ...]:
+        """The SELECT blocks a set operation combines: the head without its
+        tail, then each branch. A plain query is its own one block."""
+        if not self.set_ops:
+            return (self,)
+        return (replace(self, set_ops=()),) + tuple(c.query for c in self.set_ops)
+
     def output_names(self) -> tuple[str, ...] | None:
         """Output column names if statically determinable, else ``None``.
 
         The result is ``None`` only for a bare ``SELECT *`` (no projection,
-        no aggregation), whose width depends on the catalog.
+        no aggregation), whose width depends on the catalog; privacy
+        decisions ask :meth:`~repro.relational.catalog.Catalog.output_names`.
         """
         if self.select:
             return tuple(

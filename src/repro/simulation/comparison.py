@@ -74,7 +74,7 @@ class LevelMetrics:
 
 def build_levels(scenario: Scenario) -> list[EngineeringLevel]:
     """The four level adapters over one scenario, source → report order."""
-    source = SourceLevel(list(scenario.providers.values()))
+    source = SourceLevel(list(scenario.providers.values()), scenario.bi_catalog)
     warehouse_tables = [
         (name, len(scenario.bi_catalog.table(name).schema))
         for name in scenario.bi_catalog.table_names()
@@ -84,6 +84,7 @@ def build_levels(scenario: Scenario) -> list[EngineeringLevel]:
         warehouse_tables=warehouse_tables,
         etl_flows=[(scenario.flow.name, len(scenario.flow.operators))],
         warehouse_columns=frozenset(scenario.wide_columns),
+        catalog=scenario.bi_catalog,
     )
     metareport = MetaReportLevel(scenario.metareports, scenario.bi_catalog)
     metareport.register_workload(scenario.workload)

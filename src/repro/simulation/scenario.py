@@ -333,7 +333,7 @@ def build_scenario(config: ScenarioConfig | None = None) -> Scenario:
     metareports = generate_metareports(
         workload,
         star.wide_view_name(),
-        wide_columns,
+        bi_catalog,
         max_metareports=cfg.max_metareports,
     )
     metareports.register_views(bi_catalog)

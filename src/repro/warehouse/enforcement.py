@@ -64,40 +64,37 @@ class WarehouseEnforcer:
                         f"joining {left!r} with {right!r} is not permitted"
                     )
 
-        # Column-level role limits on everything the query touches.
-        from repro.core.containment import source_columns_used
-
-        used = source_columns_used(query)
+        # Column-level role limits on every base column the query reads,
+        # traced through joins, views and renames.
         roles = {role.name for role in context.user.roles}
-        for table in sorted(base_tables):
-            for column in used:
-                annotation = self.metadata.column_annotation(table, column)
-                if annotation is None:
-                    continue
-                if not any(annotation.permits_role(role) for role in roles):
-                    reasons.append(
-                        f"column {table}.{column} is restricted to roles "
-                        f"{sorted(annotation.allowed_roles)}"
-                    )
-
-        # Record-level exposure of sensitive columns requires aggregation.
-        floor = self.metadata.min_aggregation_for(base_tables)
-        if floor > 1 and not query.is_aggregate:
-            outputs = query.output_names()
-            if outputs is None or any(
-                column in self._all_sensitive(base_tables) for column in outputs
-            ):
+        for table, column in sorted(self.catalog.input_sources(query)):
+            annotation = self.metadata.column_annotation(table, column)
+            if annotation is None:
+                continue
+            if not any(annotation.permits_role(role) for role in roles):
                 reasons.append(
-                    f"record-level access requires aggregation over ≥ {floor} "
-                    "records for these tables"
+                    f"column {table}.{column} is restricted to roles "
+                    f"{sorted(annotation.allowed_roles)}"
                 )
-        return reasons
 
-    def _all_sensitive(self, tables: set[str]) -> set[str]:
-        out: set[str] = set()
-        for table in tables:
-            out.update(self.metadata.sensitive_columns(table))
-        return out
+        # Record-level exposure of sensitive columns requires aggregation:
+        # the base columns any non-aggregate block (a UNION branch too) shows.
+        floor = self.metadata.min_aggregation_for(base_tables)
+        shown = {
+            pair
+            for block in query.blocks()
+            if not block.is_aggregate
+            for traced in self.catalog.sources(block)
+            for pair in traced
+        }
+        if floor > 1 and any(
+            column in self.metadata.sensitive_columns(table) for table, column in shown
+        ):
+            reasons.append(
+                f"record-level access requires aggregation over ≥ {floor} "
+                "records for these tables"
+            )
+        return reasons
 
     # -- guarded execution ------------------------------------------------------
 

@@ -8,7 +8,6 @@ from repro.core import (
     check_derivability,
     is_contained,
     predicate_implies,
-    source_columns_used,
 )
 from repro.relational import (
     Catalog,
@@ -253,6 +252,9 @@ class TestIsContained:
 
 
 class TestSourceColumnsUsed:
+    """What a query reads (``Catalog.input_names``), as §5 and the PLA
+    checks count it."""
+
     def test_excludes_agg_aliases(self):
         q = (
             Query.from_("t")
@@ -261,7 +263,7 @@ class TestSourceColumnsUsed:
             .project("g", "total")
             .order_by("total")
         )
-        assert source_columns_used(q) == frozenset({"g", "m"})
+        assert Catalog().input_names(q) == frozenset({"g", "m"})
 
     def test_includes_filters_joins_order(self):
         q = (
@@ -271,7 +273,18 @@ class TestSourceColumnsUsed:
             .project("d")
             .order_by("e")
         )
-        assert source_columns_used(q) == frozenset({"a", "b", "c", "d", "e"})
+        assert Catalog().input_names(q) == frozenset({"a", "b", "c", "d", "e"})
+
+    def test_bare_select_star_reads_its_whole_from_scope(self, cq_catalog):
+        q = parse_query("SELECT * FROM presc JOIN dcost ON drug = drug")
+        assert cq_catalog.input_names(q) == frozenset(
+            {"patient", "presc.drug", "disease", "cost", "dcost.drug", "price", "drug"}
+        )
+
+    def test_union_reads_every_branch(self, cq_catalog):
+        branch = parse_query("SELECT patient FROM presc WHERE cost > 1")
+        q = parse_query("SELECT drug FROM presc").union_with(branch)
+        assert cq_catalog.input_names(q) == frozenset({"drug", "patient", "cost"})
 
 
 class TestDerivability:
@@ -316,6 +329,19 @@ class TestDerivability:
         meta = catalog.view("meta").query
         result = check_derivability(report, "meta", meta, catalog)
         assert not result and any("base relations" in r for r in result.reasons)
+
+    def test_bare_select_star_reads_what_the_metareport_hides(self, catalog):
+        """``SELECT *`` reads every column of its FROM: against a narrow
+        meta-report it is refused like the explicit list it expands to."""
+        catalog.add_view(View("narrow", parse_query("SELECT drug, cost FROM presc")))
+        narrow = catalog.view("narrow").query
+        for sql in ("SELECT * FROM presc", "SELECT patient, disease FROM presc"):
+            result = check_derivability(parse_query(sql), "narrow", narrow, catalog)
+            assert not result
+            assert any("does not expose" in r for r in result.reasons)
+        assert check_derivability(
+            parse_query("SELECT * FROM narrow"), "narrow", narrow, catalog
+        )
 
     def test_unexposed_column_not_derivable(self, catalog):
         catalog.add_view(

@@ -66,13 +66,93 @@ class TestVpdExpansionEdges:
         out = policy.run(parse_query("SELECT * FROM v"), cat, ctx)
         assert all(r[0] == -1 for r in out.rows)
 
-    def test_select_star_through_star_view_rejected(self):
+    def test_select_star_through_star_view_masks(self):
         cat, ctx = self._world()
         cat.add_view(View("v", Query.from_("t")))  # SELECT * view
         policy = VPDPolicy()
         policy.add_rule(VPDRule("t", masks=(ColumnMask("a"),)))
-        with pytest.raises(QueryError, match="expand"):
-            policy.run(parse_query("SELECT * FROM v"), cat, ctx)
+        out = policy.run(parse_query("SELECT * FROM v"), cat, ctx)
+        assert out.schema.names == ("a",)
+        assert all(r == (None,) for r in out.rows)
+
+    @staticmethod
+    def _visits(cat):
+        S = ColumnType.STRING
+        cat.add_table(Table.from_rows(
+            "visits", make_schema(("patient", S), ("region", S)),
+            [("Alice", "north"), ("Bob", "south")], provider="h",
+        ))
+        cat.add_table(Table.from_rows(
+            "regions", make_schema(("rname", S), ("mayor", S)),
+            [("north", "Mia"), ("south", "Sol")], provider="m",
+        ))
+        cat.add_table(Table.from_rows(
+            "kin", make_schema(("patient", S), ("rname", S)),
+            [("Carl", "north"), ("Dana", "south")], provider="m",
+        ))
+
+    def test_select_star_over_a_join_keeps_the_joined_columns(self):
+        cat, ctx = self._world()
+        self._visits(cat)
+        policy = VPDPolicy()
+        policy.add_rule(VPDRule("visits", masks=(ColumnMask("patient"),)))
+        query = parse_query("SELECT * FROM visits JOIN regions ON region = rname")
+        out = policy.run(query, cat, ctx)
+        assert out.schema.names == execute(query, cat).schema.names
+        assert sorted(out.rows) == [(None, "north", "north", "Mia"),
+                                    (None, "south", "south", "Sol")]
+
+    def test_mask_follows_its_relation_through_join_qualification(self):
+        cat, ctx = self._world()
+        self._visits(cat)
+        policy = VPDPolicy()
+        policy.add_rule(VPDRule("visits", masks=(ColumnMask("patient"),)))
+        query = parse_query("SELECT * FROM visits JOIN kin ON region = rname")
+        out = policy.run(query, cat, ctx)
+        assert out.schema.names[0] == "visits.patient"
+        assert set(out.column_values("visits.patient")) == {None}
+        assert set(out.column_values("kin.patient")) == {"Carl", "Dana"}
+        explicit = parse_query(
+            "SELECT visits.patient, kin.patient FROM visits JOIN kin ON region = rname"
+        )
+        out = policy.run(explicit, cat, ctx)
+        assert sorted(out.rows) == [(None, "Carl"), (None, "Dana")]
+
+    def test_mask_follows_its_column_through_a_join_view(self):
+        cat, ctx = self._world()
+        self._visits(cat)
+        cat.add_view(View("jv", parse_query(
+            "SELECT * FROM visits JOIN kin ON region = rname"
+        )))
+        policy = VPDPolicy()
+        policy.add_rule(VPDRule("visits", masks=(ColumnMask("patient"),)))
+        for sql in ("SELECT * FROM jv", "SELECT visits.patient, kin.patient FROM jv"):
+            out = policy.run(parse_query(sql), cat, ctx)
+            assert set(out.column_values("visits.patient")) == {None}
+            assert set(out.column_values("kin.patient")) == {"Carl", "Dana"}
+
+    def test_mask_follows_its_column_through_a_renaming_view(self):
+        cat, ctx = self._world()
+        self._visits(cat)
+        cat.add_view(View("who", parse_query(
+            "SELECT patient AS name, region FROM visits"
+        )))
+        policy = VPDPolicy()
+        policy.add_rule(VPDRule("visits", masks=(ColumnMask("patient"),)))
+        for sql in ("SELECT * FROM who", "SELECT name FROM who"):
+            out = policy.run(parse_query(sql), cat, ctx)
+            assert set(out.column_values("name")) == {None}
+
+    def test_union_branches_are_masked_by_their_own_relations(self):
+        cat, ctx = self._world()
+        self._visits(cat)
+        policy = VPDPolicy()
+        policy.add_rule(VPDRule("visits", masks=(ColumnMask("patient"),)))
+        query = parse_query("SELECT patient FROM kin").union_with(
+            parse_query("SELECT patient FROM visits")
+        )
+        out = policy.run(query, cat, ctx)
+        assert sorted(out.rows, key=str) == [("Carl",), ("Dana",), (None,)]
 
     def test_computed_column_over_masked_rejected(self):
         cat, ctx = self._world()

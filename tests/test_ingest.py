@@ -25,7 +25,6 @@ from repro.analysis import Severity, column_flows
 from repro.errors import IngestError, ParseError
 from repro.ingest import (
     DIALECTS,
-    Scope,
     emit_deployment,
     ingest_suite,
     parse_suite_text,
@@ -34,7 +33,7 @@ from repro.ingest import (
 )
 from repro.ingest.dialects import get_dialect
 from repro.ingest.parser import file_dialect, split_statements
-from repro.relational import Catalog, execute
+from repro.relational import Catalog, View, execute
 from repro.relational.algebra import AggSpec
 from repro.relational.expressions import Col, Comparison, InList, IsNull, Lit
 from repro.relational.query import Query
@@ -241,35 +240,81 @@ class TestSuiteParser:
 class TestResolver:
     def test_clean_query_has_no_diagnostics(self):
         query = parse_query("SELECT k, x FROM t WHERE x > 0;")
-        assert resolve_query(query, Scope(CATALOG), location="l") == []
+        assert resolve_query(query, CATALOG, location="l") == []
 
     def test_unknown_relation_is_ing001(self):
         query = parse_query("SELECT k FROM ghost;")
-        (diag,) = resolve_query(query, Scope(CATALOG), location="l")
+        (diag,) = resolve_query(query, CATALOG, location="l")
         assert (diag.code, diag.severity) == ("ING001", Severity.ERROR)
 
     def test_unknown_column_is_ing002(self):
         query = parse_query("SELECT wrong FROM t;")
-        (diag,) = resolve_query(query, Scope(CATALOG), location="l")
+        (diag,) = resolve_query(query, CATALOG, location="l")
         assert diag.code == "ING002"
 
     def test_join_ambiguity_is_ing003(self):
         query = parse_query("SELECT k FROM t JOIN u ON x = z;")
-        (diag,) = resolve_query(query, Scope(CATALOG), location="l")
+        (diag,) = resolve_query(query, CATALOG, location="l")
         assert diag.code == "ING003"
         assert "t" in diag.message and "u" in diag.message
 
     def test_union_arity_mismatch_is_ing009(self):
         query = parse_query("SELECT k, x FROM t UNION SELECT k FROM u;")
-        codes = [d.code for d in resolve_query(query, Scope(CATALOG), location="l")]
+        codes = [d.code for d in resolve_query(query, CATALOG, location="l")]
         assert "ING009" in codes
 
     def test_suite_views_resolve_recursively(self):
-        scope = Scope(CATALOG)
-        scope.add_view("v1", parse_query("SELECT k, x FROM t;"))
+        catalog = small_catalog()
+        catalog.add_view(View("v1", parse_query("SELECT k, x FROM t;")))
         query = parse_query("SELECT x FROM v1;")
-        assert resolve_query(query, scope, location="l") == []
-        assert scope.outputs("v1") == ("k", "x")
+        assert resolve_query(query, catalog, location="l") == []
+        assert catalog.output_names("v1") == ("k", "x")
+
+
+class TestEngineNaming:
+    """Ingest names a join view's columns as the engine does: ``jv`` over
+    ``t(k, x)`` and ``u(k2, x)`` outputs ``k, t.x, k2, u.x``."""
+
+    @staticmethod
+    def catalog() -> Catalog:
+        catalog = Catalog()
+        catalog.add_table(
+            Table.from_rows("t", make_schema(("k", INT), ("x", INT)), [(1, 10)])
+        )
+        catalog.add_table(
+            Table.from_rows("u", make_schema(("k2", INT), ("x", INT)), [(1, 20)])
+        )
+        catalog.add_view(View("jv", parse_query("SELECT * FROM t JOIN u ON k = k2;")))
+        return catalog
+
+    def test_qualified_join_column_is_unknown_unqualified(self):
+        (diag,) = resolve_query(
+            parse_query("SELECT x FROM jv;"), self.catalog(), location="l"
+        )
+        assert diag.code == "ING002"
+        assert "unknown column 'x'" in diag.message
+
+    def test_engine_name_resolves(self, tmp_path):
+        catalog = self.catalog()
+        query = parse_query("SELECT t.x FROM jv;")
+        assert resolve_query(query, catalog, location="l") == []
+        assert execute(query, catalog).rows == [(10,)]
+        (tmp_path / "r.sql").write_text("-- report: tx\nSELECT t.x FROM jv;\n")
+        result = ingest_suite(tmp_path, catalog=catalog)
+        assert result.ok and [r.name for r in result.reports] == ["tx"]
+
+    def test_hoisted_views_resolve_and_fail_per_statement(self, tmp_path):
+        catalog = self.catalog()
+        (tmp_path / "r.sql").write_text(
+            "-- report: bad\n"
+            "WITH c AS (SELECT k FROM t) SELECT wrong FROM c;\n"
+            "-- report: good\n"
+            "WITH c AS (SELECT k FROM t) SELECT k FROM c;\n"
+        )
+        result = ingest_suite(tmp_path, catalog=catalog)
+        assert [r.name for r in result.reports] == ["good"]
+        assert len(result.views) == 1
+        assert result.diagnostics.by_code("ING002")
 
 
 # -- the compile driver over the shipped corpora ------------------------------

@@ -66,42 +66,48 @@ class TestGeneration:
     def _workload(self):
         return [report(name, sql) for name, sql in WORKLOAD]
 
-    def test_single_universe_metareport(self):
+    def test_single_universe_metareport(self, universe_catalog):
         mrs = generate_metareports(
-            self._workload(), "wide", WIDE_COLUMNS, max_metareports=1
+            self._workload(), "wide", universe_catalog, max_metareports=1
         )
         assert len(mrs) == 1
         assert set(mrs.metareports[0].columns()) == {
             "drug", "cost", "doctor", "patient",
         }
 
-    def test_granularity_bounds_count(self):
+    def test_granularity_bounds_count(self, universe_catalog):
         for g in (1, 2, 3, 10):
             mrs = generate_metareports(
-                self._workload(), "wide", WIDE_COLUMNS, max_metareports=g
+                self._workload(), "wide", universe_catalog, max_metareports=g
             )
             assert 1 <= len(mrs) <= g
 
-    def test_columns_in_universe_order(self):
+    def test_columns_in_universe_order(self, universe_catalog):
         mrs = generate_metareports(
-            self._workload(), "wide", WIDE_COLUMNS, max_metareports=1
+            self._workload(), "wide", universe_catalog, max_metareports=1
         )
         cols = mrs.metareports[0].columns()
         order = {c: i for i, c in enumerate(WIDE_COLUMNS)}
         assert list(cols) == sorted(cols, key=order.__getitem__)
 
-    def test_empty_workload_rejected(self):
+    def test_empty_workload_rejected(self, universe_catalog):
         with pytest.raises(PolicyError):
-            generate_metareports([], "wide", WIDE_COLUMNS, max_metareports=1)
+            generate_metareports([], "wide", universe_catalog, max_metareports=1)
 
-    def test_foreign_report_rejected(self):
+    def test_foreign_report_rejected(self, universe_catalog):
         bad = report("bad", "SELECT x FROM other")
         with pytest.raises(PolicyError):
-            generate_metareports([bad], "wide", WIDE_COLUMNS, max_metareports=1)
+            generate_metareports(
+                [bad], "wide", universe_catalog, max_metareports=1
+            )
 
-    def test_deterministic(self):
-        a = generate_metareports(self._workload(), "wide", WIDE_COLUMNS, max_metareports=2)
-        b = generate_metareports(self._workload(), "wide", WIDE_COLUMNS, max_metareports=2)
+    def test_deterministic(self, universe_catalog):
+        a = generate_metareports(
+            self._workload(), "wide", universe_catalog, max_metareports=2
+        )
+        b = generate_metareports(
+            self._workload(), "wide", universe_catalog, max_metareports=2
+        )
         assert [m.columns() for m in a] == [m.columns() for m in b]
 
 

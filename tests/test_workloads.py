@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
+from repro.relational import Catalog
 from repro.reports import EvolutionKind, ReportCatalog, apply_event
 from repro.workloads import (
     HealthcareConfig,
@@ -128,11 +129,10 @@ class TestReportWorkload:
         assert 0 < aggregate < len(reports)
 
     def test_columns_within_universe(self):
-        from repro.core import source_columns_used
-
         universe = set(SPEC.categorical) | set(SPEC.measures) | set(SPEC.detail_columns)
         for report in generate_report_workload(SPEC):
-            assert source_columns_used(report.query) <= universe
+            # Explicit select lists: reading them needs no relation.
+            assert Catalog().input_names(report.query) <= universe
 
 
 class TestEvolutionStream:
@@ -165,12 +165,10 @@ class TestEvolutionStream:
         events = generate_evolution_stream(
             SPEC, base, n_events=60, seed=4, new_feed_rate=1.0
         )
-        from repro.core import source_columns_used
-
         adds = [e for e in events if e.kind is EvolutionKind.ADD_REPORT]
         assert adds
         assert all(
-            "exam_type" in source_columns_used(e.definition.query) for e in adds
+            "exam_type" in Catalog().input_names(e.definition.query) for e in adds
         )
 
 
