@@ -32,6 +32,7 @@ from repro.core.metareport import MetaReportSet
 from repro.obs import instrument
 from repro.obs.trace import TRACER
 from repro.relational.catalog import Catalog
+from repro.relational.query import Query
 from repro.reports.definition import ReportDefinition
 
 __all__ = [
@@ -257,7 +258,8 @@ class ComplianceChecker:
         used = self.catalog.input_names(report.query)
         for annotation in covering.pla.annotations:
             self._check_annotation(
-                report, outputs, used, annotation, violations, obligations
+                report, covering.query, outputs, used, annotation, violations,
+                obligations,
             )
         return ComplianceVerdict(
             report=report.name,
@@ -271,9 +273,35 @@ class ComplianceChecker:
 
     # -- per-annotation logic ------------------------------------------------
 
+    def _renamed(
+        self, report: ReportDefinition, metareport: Query, attribute: str
+    ) -> list[str]:
+        """The output names, other than ``attribute``, under which a
+        non-aggregate block of the report shows the meta-report attribute's
+        values: a rename, or an expression over it (traced to base columns
+        by :meth:`Catalog.sources`)."""
+        meta = dict(
+            zip(self.catalog.output_names(metareport), self.catalog.sources(metareport))
+        )
+        base = meta.get(attribute)
+        if not base:
+            return []
+        return sorted(
+            {
+                name
+                for block in report.query.blocks()
+                if not block.is_aggregate
+                for name, traced in zip(
+                    self.catalog.output_names(block), self.catalog.sources(block)
+                )
+                if name != attribute and traced & base
+            }
+        )
+
     def _check_annotation(
         self,
         report: ReportDefinition,
+        metareport: Query,
         outputs: set[str],
         used: frozenset[str],
         annotation: Annotation,
@@ -327,6 +355,19 @@ class ComplianceChecker:
                             ),
                         )
                     )
+                elif renamed := self._renamed(report, metareport, annotation.attribute):
+                    # The enforcer anonymizes the column by name, so a copy
+                    # under another name would be delivered as it is.
+                    violations.append(
+                        ComplianceViolation(
+                            annotation=annotation.describe(),
+                            reason=(
+                                "anonymization cannot be applied to a report "
+                                f"that shows the attribute as {renamed}; show "
+                                "it under its own name or drop it"
+                            ),
+                        )
+                    )
                 else:
                     obligations.append(RuntimeObligation("anonymize", annotation))
         elif isinstance(annotation, JoinPermission):
@@ -356,6 +397,14 @@ class ComplianceChecker:
                 target = "a UNION report that reads the attribute"
             elif cell and report.query.is_aggregate and annotation.attribute in outputs:
                 target = "an aggregate report"
+            elif (
+                cell
+                and annotation.attribute in used
+                and (renamed := self._renamed(report, metareport, annotation.attribute))
+            ):
+                # Cells are blanked by column name, so a copy under another
+                # name would be delivered unblanked.
+                target = f"a report that shows the attribute as {renamed}"
             else:
                 if not cell or annotation.attribute in outputs:
                     obligations.append(RuntimeObligation("intensional", annotation))

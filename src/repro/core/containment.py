@@ -62,18 +62,21 @@ class NotConjunctive(QueryError):
 # ---------------------------------------------------------------------------
 # Proof memoization
 #
-# Derivability and containment are pure functions of the two query trees and
-# the catalog's *definitions* (schemas, views) — never of row data. Keys are
-# therefore ``(fingerprints..., catalog.uid, catalog.ddl_version)``: any DDL
-# change versions old entries out, and a registered mutation hook evicts the
-# affected catalog's entries eagerly. ``NotConjunctive`` outcomes are cached
-# too (as a sentinel) and re-raised, since proving "outside the fragment"
-# costs the same canonicalization work as a positive proof.
+# Derivability, containment and canonical forms are pure functions of the
+# query trees and the catalog's *definitions* (schemas, views) — never of
+# row data. Keys are therefore ``(fingerprints..., catalog.uid,
+# catalog.ddl_version)``: any DDL change versions old entries out, and a
+# registered mutation hook evicts the affected catalog's entries eagerly.
+# ``NotConjunctive`` outcomes are cached too (as a sentinel) and re-raised,
+# since proving "outside the fragment" costs the same canonicalization work
+# as a positive proof. A meta-report is checked against every report, so its
+# canonical form is built once per catalog generation and shared.
 # ---------------------------------------------------------------------------
 
 _PROOF_CACHE_SIZE = 4096
 _derivability_cache = LRUCache(maxsize=_PROOF_CACHE_SIZE)
 _containment_cache = LRUCache(maxsize=_PROOF_CACHE_SIZE)
+_canonical_cache = LRUCache(maxsize=_PROOF_CACHE_SIZE)
 _hooked_catalogs: set[int] = set()
 _hook_lock = threading.Lock()
 
@@ -82,6 +85,7 @@ def _on_catalog_mutation(catalog: Catalog, name: str) -> None:
     cat_uid = catalog.uid
     _derivability_cache.invalidate_where(lambda k: k[-2] == cat_uid)
     _containment_cache.invalidate_where(lambda k: k[-2] == cat_uid)
+    _canonical_cache.invalidate_where(lambda k: k[-2] == cat_uid)
 
 
 def _hook_catalog(catalog: Catalog) -> None:
@@ -103,12 +107,20 @@ def proof_cache_stats() -> dict[str, dict[str, Any]]:
             **_containment_cache.stats.as_dict(),
             "entries": len(_containment_cache),
         },
+        "canonical": {
+            **_canonical_cache.stats.as_dict(),
+            "entries": len(_canonical_cache),
+        },
     }
 
 
 def clear_proof_caches() -> int:
     """Drop all memoized proofs; returns how many entries were removed."""
-    return _derivability_cache.clear() + _containment_cache.clear()
+    return (
+        _derivability_cache.clear()
+        + _containment_cache.clear()
+        + _canonical_cache.clear()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +238,35 @@ def canonicalize(
     that aggregates, is a UNION, outer-joins or carries a LIMIT raises
     :class:`NotConjunctive`. Column equalities in ON and WHERE fold into the
     atoms; other WHERE conjuncts stay in the residual, outer blocks first.
+
+    Forms are memoized per catalog DDL generation with the proofs (see
+    :func:`proof_cache_stats`) and shared between callers, which must not
+    change them.
     """
+    key = (query.fingerprint(), universe, catalog.uid, catalog.ddl_version)
+    token = _canonical_cache.fill_token()
+    cached = _canonical_cache.get(key)
+    if TRACER.active():
+        instrument.cache_lookup("canonical", cached is not None)
+    if cached is not None:
+        kind, payload = cached
+        if kind == "raise":
+            raise NotConjunctive(*payload)
+        return payload
+    try:
+        form = _canonicalize(query, catalog, universe)
+    except NotConjunctive as exc:
+        _hook_catalog(catalog)
+        _canonical_cache.put_if(key, ("raise", exc.args), token)
+        raise
+    _hook_catalog(catalog)
+    _canonical_cache.put_if(key, ("value", form), token)
+    return form
+
+
+def _canonicalize(
+    query: Query, catalog: Catalog, universe: str | None
+) -> CanonicalQuery:
     walk = _Inliner(catalog, universe)
     outputs, parts = walk.block(query, 0, "query")
     find = walk.find

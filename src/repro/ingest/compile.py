@@ -355,18 +355,8 @@ def _compile_statement(
         return
     result.views.extend(added)
 
-    if statement.kind == "view":
-        view = View(
-            name,
-            statement.query,
-            description=f"ingested from {origin} ({dialect.name})",
-        )
-        overlay.add_view(view)
-        result.views.append(view)
-        taken_names.add(name)
-        record.ok = True
-        return
-
+    # The lineage pass names columns as the engine does, so a view or
+    # report it rejects would fail at execution.
     try:
         flow = column_flows(statement.query, overlay)
     except AnalysisError as exc:
@@ -378,6 +368,18 @@ def _compile_statement(
                 message=f"lineage analysis rejected the statement: {exc}",
             )
         )
+        return
+
+    if statement.kind == "view":
+        view = View(
+            name,
+            statement.query,
+            description=f"ingested from {origin} ({dialect.name})",
+        )
+        overlay.add_view(view)
+        result.views.append(view)
+        taken_names.add(name)
+        record.ok = True
         return
 
     output_sources: set[str] = set()

@@ -1,13 +1,7 @@
 """Provenance: why-lineage, where-provenance, and dataset-level DAGs."""
 
 from repro.provenance.graph import DatasetNode, ProvenanceGraph, TransformNode
-from repro.provenance.masks import (
-    LeafContribution,
-    MaskProvenance,
-    mask_from_selector,
-    pack_rows,
-    unpack_rows,
-)
+from repro.provenance.masks import LeafContribution, MaskProvenance
 from repro.provenance.lineage import (
     LineageTrace,
     base_footprint,
@@ -30,9 +24,6 @@ __all__ = [
     "MaskProvenance",
     "ProvenanceGraph",
     "TransformNode",
-    "mask_from_selector",
-    "pack_rows",
-    "unpack_rows",
     "base_footprint",
     "classify_cell",
     "rows_influenced_by",

@@ -1,4 +1,4 @@
-"""Bitset provenance masks: compact lineage/where encoding for vector kernels.
+"""Leaf contributions: compact lineage/where encoding for vector kernels.
 
 The row engine carries one :class:`RowProvenance` object per
 output row — a dict of frozensets of :class:`CellRef`. That is exact but
@@ -10,9 +10,10 @@ contributed**, in one of two encodings:
 * an **index vector** (``array('q')``) when at most one leaf row contributes
   per output row (scan/filter/project, hash joins) — ordinal ``-1`` means
   "no contribution";
-* a **bitset mask** (a Python ``int``; bit *i* set ⇔ leaf row *i*
-  contributed) when a whole set of rows collapses into one output row
-  (GROUP BY / aggregation).
+* a **group** of frame rows when a whole set of rows collapses into one
+  output row (GROUP BY / aggregation): the 0/1 selector or member list the
+  aggregate kernel already built, read through the leaf's index vector
+  when the row is decoded.
 
 Because every engine-produced output column is copied (or computed) from
 statically known leaf columns, the per-cell where-provenance of an output
@@ -34,69 +35,16 @@ value-for-value against the row engine.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
-from typing import Any, Iterable, Iterator
+from collections.abc import Collection, Sequence
+from itertools import compress
+from typing import Any, Iterator
 
 from repro.relational.table import RowProvenance
 
-__all__ = [
-    "pack_rows",
-    "unpack_rows",
-    "mask_from_selector",
-    "LeafContribution",
-    "MaskProvenance",
-]
+__all__ = ["LeafContribution", "MaskProvenance"]
 
 _EMPTY_REFS: frozenset = frozenset()
 _union = frozenset().union
-
-# byte value -> bit offsets set within that byte (little-endian bit order).
-_BYTE_BITS: tuple[tuple[int, ...], ...] = tuple(
-    tuple(b for b in range(8) if v >> b & 1) for v in range(256)
-)
-
-# selector byte (0/1) -> ASCII '0'/'1', for the int(s, 2) packing trick.
-_SEL_TO_ASCII = bytes(
-    (ord("1") if v == 1 else ord("0")) for v in range(256)
-)
-
-
-def pack_rows(ordinals: Iterable[int]) -> int:
-    """Pack a set of row ordinals into a bitset mask (bit ``i`` ⇔ row ``i``)."""
-    mask = 0
-    for i in ordinals:
-        mask |= 1 << i
-    return mask
-
-
-def unpack_rows(mask: int) -> list[int]:
-    """Unpack a bitset mask back into its sorted row ordinals.
-
-    Scans the mask bytewise (a 1M-row mask is a 125 KB int) instead of
-    shifting the whole integer per set bit, so decoding stays linear.
-    """
-    if mask == 0:
-        return []
-    out: list[int] = []
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    extend = out.extend
-    for byte_i, value in enumerate(data):
-        if value:
-            base = byte_i << 3
-            extend(base + b for b in _BYTE_BITS[value])
-    return out
-
-
-def mask_from_selector(selector: bytes) -> int:
-    """Bitset mask from a 0/1 selector byte string (``selector[i]`` ⇔ row i).
-
-    Uses C-level ``translate`` + binary ``int(..., 2)`` (power-of-two bases
-    are exempt from the int/str conversion limit), so packing a million-row
-    selector costs milliseconds rather than a Python-level loop.
-    """
-    if not selector:
-        return 0
-    return int(selector.translate(_SEL_TO_ASCII)[::-1], 2)
 
 
 def _merge(parts: list[frozenset]) -> frozenset:
@@ -110,16 +58,21 @@ class LeafContribution:
 
     ``kind`` is ``"identity"`` (output row ``i`` ⇐ leaf row ``i``), ``"idx"``
     (``data[i]`` is the single contributing ordinal, ``-1`` for none) or
-    ``"mask"`` (``data[i]`` is a bitset of contributing ordinals).
+    ``"group"`` (``data[i]`` is output row ``i``'s group of frame rows: a
+    0/1 selector over the frame, or the frame-row numbers of its members).
+    A group reads frame row ``r`` as leaf row ``index[r]``, or as leaf row
+    ``r`` when ``index`` is ``None``; every leaf of one aggregate shares its
+    groups and reads them through its own index.
     """
 
-    __slots__ = ("kind", "data")
+    __slots__ = ("kind", "data", "index")
 
-    def __init__(self, kind: str, data: Any = None) -> None:
-        if kind not in ("identity", "idx", "mask"):  # pragma: no cover
+    def __init__(self, kind: str, data: Any = None, index: Any = None) -> None:
+        if kind not in ("identity", "idx", "group"):  # pragma: no cover
             raise ValueError(f"unknown contribution kind {kind!r}")
         self.kind = kind
         self.data = data
+        self.index = index
 
     @classmethod
     def identity(cls) -> "LeafContribution":
@@ -130,31 +83,31 @@ class LeafContribution:
         return cls("idx", indices)
 
     @classmethod
-    def from_masks(cls, masks: list[int]) -> "LeafContribution":
-        return cls("mask", masks)
+    def from_groups(
+        cls, groups: Sequence[bytes | Sequence[int]], index: "array | None"
+    ) -> "LeafContribution":
+        return cls("group", groups, index)
 
-    def ordinals(self, i: int) -> list[int]:
-        """Contributing leaf ordinals of output row ``i``."""
+    def ordinals(self, i: int) -> Collection[int]:
+        """Contributing leaf ordinals of output row ``i``, each once."""
         if self.kind == "identity":
-            return [i]
+            return (i,)
         if self.kind == "idx":
             o = self.data[i]
-            return [o] if o >= 0 else []
-        return unpack_rows(self.data[i])
-
-    def gathered(self, indices: Sequence[int]) -> "LeafContribution":
-        """This contribution re-indexed by an output-row gather."""
-        if self.kind == "identity":
-            return LeafContribution("idx", array("q", indices))
-        if self.kind == "idx":
-            data = self.data
-            return LeafContribution("idx", array("q", [data[i] for i in indices]))
-        data = self.data
-        return LeafContribution("mask", [data[i] for i in indices])
+            return (o,) if o >= 0 else ()
+        rows = self.data[i]
+        index = self.index
+        # Through an index, one leaf row can feed several members of a
+        # group (a dimension row joined to many facts): it counts once.
+        if isinstance(rows, bytes):
+            if index is None:
+                return list(compress(range(len(rows)), rows))
+            return set(compress(index, rows))
+        return rows if index is None else set(map(index.__getitem__, rows))
 
 
 class MaskProvenance(Sequence):
-    """Lazy per-row provenance decoded from per-leaf contribution masks.
+    """Lazy per-row provenance decoded from per-leaf contributions.
 
     Immutable and shareable: operators and caches may alias it freely.
     Decoding row ``i`` reproduces the exact :class:`RowProvenance` the

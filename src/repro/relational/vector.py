@@ -6,8 +6,9 @@ SELECT core to this module first:
 * **row** (:mod:`repro.relational.engine`) — the semantics oracle, and the
   operators a declined core runs on;
 * **vector** (this module) — typed ``array`` column vectors with
-  dictionary-encoded strings, selector ``bytes``, and **bitset provenance
-  masks** (:mod:`repro.provenance.masks`) instead of per-row objects.
+  dictionary-encoded strings, selector ``bytes``, and **leaf
+  contributions** (:mod:`repro.provenance.masks`: index vectors, and group
+  rows for aggregates) instead of per-row provenance objects.
 
 The fast path is a *planner*, not a separate engine: ``try_vector_core``
 inspects one SELECT core and either executes it end to end — scan→filter→
@@ -24,7 +25,7 @@ operators. Eligibility is conservative:
   re-keys the frame's column map — recursively through view chains, so
   the caller's clauses resolve straight to base-table leaves;
 * the core ends in a projection or an aggregation (so the output
-  where-provenance key set is the alias list, which the mask decoder
+  where-provenance key set is the alias list, which the provenance decoder
   rebuilds exactly);
 * no HAVING without GROUP BY (the reference raises mid-pipeline there).
 
@@ -48,12 +49,8 @@ from array import array
 from itertools import compress
 from typing import Any, Sequence
 
-from repro.errors import QueryError
-from repro.provenance.masks import (
-    LeafContribution,
-    MaskProvenance,
-    mask_from_selector,
-)
+from repro.errors import CatalogError, QueryError
+from repro.provenance.masks import LeafContribution, MaskProvenance
 from repro.relational.algebra import (
     AGGREGATE_FUNCTIONS,
     aggregate_output_schema,
@@ -206,7 +203,7 @@ def vector_table(table: Table) -> VectorTable:
 
 
 # ---------------------------------------------------------------------------
-# Bit/byte helpers
+# Byte helpers
 # ---------------------------------------------------------------------------
 
 _ONE_HOT: list[bytes | None] = [None] * 256
@@ -218,14 +215,6 @@ def _one_hot(code: int) -> bytes:
     if t is None:
         t = _ONE_HOT[code] = bytes(1 if b == code else 0 for b in range(256))
     return t
-
-
-def _pack_ordinals(ordinals: Any, size: int) -> int:
-    """Bitset of ``ordinals`` (each < ``size``), built bytewise."""
-    ba = bytearray((size >> 3) + 1)
-    for o in ordinals:
-        ba[o >> 3] |= 1 << (o & 7)
-    return int.from_bytes(ba, "little")
 
 
 def _distinct_values(values: list[Any]) -> list[Any]:
@@ -270,6 +259,20 @@ class _Frame:
             c: (0, c) for c in table.schema.names
         }
         self._vcache: dict[str, Sequence[Any]] = {}
+
+    def copy(self) -> "_Frame":
+        """The same rows in a frame of its own: the transitions below replace
+        index arrays and value vectors, never change them in place."""
+        out = object.__new__(_Frame)
+        out.tables = list(self.tables)
+        out.vts = list(self.vts)
+        out.schema = self.schema
+        out.name = self.name
+        out.n = self.n
+        out.leaf_idx = list(self.leaf_idx)
+        out.colmap = dict(self.colmap)
+        out._vcache = dict(self._vcache)
+        return out
 
     # -- value access -------------------------------------------------------
 
@@ -519,43 +522,40 @@ def _project_vec(frame: _Frame, select: list[Any]) -> Table:
 def _aggregate_vec(frame: _Frame, query: Query) -> Table:
     """Fused GROUP BY / aggregation (plus HAVING and SELECT-over-aggregate).
 
-    Group membership is computed once; per-leaf contributing rows become
-    bitset masks instead of per-group provenance dicts. Single dict-encoded
-    group columns with small vocabularies take the byte kernel: group
-    selectors via ``bytes.translate``, counts via ``bytes.count``, masks via
-    ``mask_from_selector`` — all C-level single passes.
+    Group membership is computed once, and it is the provenance too: each
+    leaf's contribution is the groups' frame rows, read through that leaf's
+    index when a row is decoded. Single dict-encoded group columns with
+    small vocabularies take the byte kernel: group selectors via
+    ``bytes.translate`` and counts via ``bytes.count``, C-level single
+    passes; other keys collect member lists.
     """
     group_by = list(query.group_by)
     aggs = list(query.aggregates)
     schema_out = aggregate_output_schema(frame.schema, group_by, aggs)
     n = frame.n
     scalar_keys = len(group_by) == 1
-    leaf_sizes = [vt.n for vt in frame.vts]
 
-    # -- group discovery: (key, members | selector) in first-occurrence order
+    # -- group discovery: (key, selector | members) in first-occurrence order
     group_keys: list[Any] = []
-    group_members: list[list[int]] | None = None
-    group_selectors: list[bytes] | None = None
+    groups_rows: list[Any] = []
     group_counts: list[int] = []
 
     byte_groups = frame.group_bytes(group_by[0]) if scalar_keys else None
     if byte_groups is not None:
         codes_b, vocab = byte_groups
-        group_selectors = []
         for code in sorted(set(codes_b), key=codes_b.find):
             group_keys.append(None if code == 0 else vocab[code - 1])
-            group_selectors.append(codes_b.translate(_one_hot(code)))
+            groups_rows.append(codes_b.translate(_one_hot(code)))
             group_counts.append(codes_b.count(code))
     else:
         groups: dict[Any, list[int]] = {}
-        group_members = []
         if scalar_keys:
             for i, v in enumerate(frame.values(group_by[0])):
                 members = groups.get(v)
                 if members is None:
                     groups[v] = members = [i]
                     group_keys.append(v)
-                    group_members.append(members)
+                    groups_rows.append(members)
                 else:
                     members.append(i)
         elif group_by:
@@ -565,13 +565,13 @@ def _aggregate_vec(frame: _Frame, query: Query) -> Table:
                 if members is None:
                     groups[key] = members = [i]
                     group_keys.append(key)
-                    group_members.append(members)
+                    groups_rows.append(members)
                 else:
                     members.append(i)
         else:
             group_keys.append(())
-            group_members.append(list(range(n)))
-        group_counts = [len(m) for m in group_members]
+            groups_rows.append(range(n))
+        group_counts = [len(m) for m in groups_rows]
 
     n_groups = len(group_keys)
 
@@ -585,15 +585,14 @@ def _aggregate_vec(frame: _Frame, query: Query) -> Table:
     for g in range(n_groups):
         key = group_keys[g]
         values = [key] if scalar_keys else list(key)
-        if group_selectors is not None:
-            sel = group_selectors[g]
+        rows = groups_rows[g]
+        if byte_groups is not None:
             member_values = {
-                col: list(compress(vec, sel)) for col, vec in agg_vecs.items()
+                col: list(compress(vec, rows)) for col, vec in agg_vecs.items()
             }
         else:
-            members = group_members[g]  # type: ignore[index]
             member_values = {
-                col: list(map(vec.__getitem__, members))
+                col: list(map(vec.__getitem__, rows))
                 for col, vec in agg_vecs.items()
             }
         for spec in aggs:
@@ -605,26 +604,6 @@ def _aggregate_vec(frame: _Frame, query: Query) -> Table:
                 col_values = _distinct_values(col_values)
             values.append(AGGREGATE_FUNCTIONS[spec.func](col_values))
         out_rows.append(tuple(values))
-
-    # -- per-leaf contribution masks
-    leaf_masks: list[list[int]] = [[] for _ in frame.vts]
-    for g in range(n_groups):
-        for li, idx in enumerate(frame.leaf_idx):
-            if group_selectors is not None:
-                sel = group_selectors[g]
-                if idx is None:
-                    mask = mask_from_selector(sel)
-                else:
-                    mask = _pack_ordinals(compress(idx, sel), leaf_sizes[li])
-            else:
-                members = group_members[g]  # type: ignore[index]
-                if idx is None:
-                    mask = _pack_ordinals(members, n or 1)
-                else:
-                    mask = _pack_ordinals(
-                        map(idx.__getitem__, members), leaf_sizes[li]
-                    )
-            leaf_masks[li].append(mask)
 
     # Output alias → contributing (leaf, source column) pairs.
     agg_origins: dict[str, tuple[tuple[int, str], ...]] = {}
@@ -651,11 +630,11 @@ def _aggregate_vec(frame: _Frame, query: Query) -> Table:
             map(bool, query.having.evaluate_batch(have_env, len(out_rows)))
         )
         out_rows = list(compress(out_rows, flags))
-        leaf_masks = [list(compress(masks, flags)) for masks in leaf_masks]
+        groups_rows = list(compress(groups_rows, flags))
         n_groups = len(out_rows)
 
     contribs = tuple(
-        LeafContribution.from_masks(masks) for masks in leaf_masks
+        LeafContribution.from_groups(groups_rows, idx) for idx in frame.leaf_idx
     )
     if not query.select:
         origins = [(a, agg_origins[a]) for a in schema_out.names]
@@ -740,6 +719,15 @@ def _inlinable(body: Query) -> bool:
     )
 
 
+# The frame of each inlined view, per catalog and per (view, nesting depth),
+# kept while the view body's catalog state token holds: after a refresh the
+# first cold execution over a view runs its joins and WHERE, and later ones
+# start from a copy. Depth is part of the key because the nesting limit is.
+_FrameMemo = dict[tuple[str, int], tuple[tuple, _Frame]]
+_view_frames: "weakref.WeakKeyDictionary[Catalog, _FrameMemo]"
+_view_frames = weakref.WeakKeyDictionary()
+
+
 def _source_frame(name: str, catalog: Catalog, depth: int) -> _Frame | None:
     """The frame of a FROM relation resolved at ``depth``: a base table, or an
     inlinable view's body run on the frame; ``None`` declines."""
@@ -752,9 +740,22 @@ def _source_frame(name: str, catalog: Catalog, depth: int) -> _Frame | None:
     body = catalog.view(name).query
     if not _inlinable(body):
         return None
+    try:
+        token = catalog.state_token(body)
+    except CatalogError:
+        token = None  # an unknown relation below: the walk declines or raises.
+    memo = _view_frames.get(catalog)
+    if memo is None:
+        memo = _view_frames.setdefault(catalog, {})
+    hit = memo.get((name, depth))
+    if token is not None and hit is not None and hit[0] == token:
+        return hit[1].copy()
     frame = _core_frame(body, catalog, depth + 1)
     if frame is not None:
         frame.adopt_view(name, list(body.select))
+        # Filled only if no write landed while the frame was built.
+        if token is not None and catalog.state_token(body) == token:
+            memo[name, depth] = (token, frame.copy())
     return frame
 
 

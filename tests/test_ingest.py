@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import Severity, column_flows
-from repro.errors import IngestError, ParseError
+from repro.errors import IngestError, ParseError, SchemaError
 from repro.ingest import (
     DIALECTS,
     emit_deployment,
@@ -302,6 +302,18 @@ class TestEngineNaming:
         (tmp_path / "r.sql").write_text("-- report: tx\nSELECT t.x FROM jv;\n")
         result = ingest_suite(tmp_path, catalog=catalog)
         assert result.ok and [r.name for r in result.reports] == ["tx"]
+
+    def test_a_view_the_engine_cannot_run_is_ing002(self, tmp_path):
+        # The resolver accepts ``t.x`` for a column no join qualified; the
+        # engine and the lineage pass name it ``x``.
+        catalog = self.catalog()
+        with pytest.raises(SchemaError, match="unknown column 't.x'"):
+            execute(parse_query("SELECT t.x FROM t;"), catalog)
+        (tmp_path / "v.sql").write_text("CREATE VIEW vq AS SELECT t.x FROM t;\n")
+        result = ingest_suite(tmp_path, catalog=catalog)
+        assert not result.ok and result.views == []
+        (diag,) = result.diagnostics.by_code("ING002")
+        assert "unknown column 't.x'" in diag.message
 
     def test_hoisted_views_resolve_and_fail_per_statement(self, tmp_path):
         catalog = self.catalog()

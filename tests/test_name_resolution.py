@@ -209,6 +209,48 @@ class TestUnionBranches:
         assert sorted(table.column_values("region")) == ["east", "south"]
 
 
+class TestAliases:
+    """The enforcer blanks and anonymizes columns by name, so a report that
+    shows the attribute under another name is refused before delivery."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT disease AS d, cost FROM mr",
+            "SELECT disease, disease AS d FROM mr",
+            "SELECT CASE WHEN disease = 'HIV' THEN 1 ELSE 0 END AS hiv, cost FROM mr",
+        ],
+    )
+    def test_cell_condition_on_a_renamed_attribute_is_a_violation(self, mr, sql):
+        catalog, checker = mr
+        verdict = checker.check_report(report(sql, "health_director"))
+        assert not verdict.compliant
+        assert any(
+            "cell-level intensional condition" in str(v) for v in verdict.violations
+        )
+        service = delivery(catalog, checker, report(sql, "health_director", "a"))
+        with pytest.raises(ComplianceError, match="shows the attribute as"):
+            service.deliver("a", user="dora", purpose="care")
+
+    def test_anonymization_of_a_renamed_attribute_is_a_violation(self, mr):
+        catalog, checker = mr
+        sql = "SELECT patient, region AS r FROM mr"
+        verdict = checker.check_report(report(sql, "health_director"))
+        assert not verdict.compliant
+        assert any("anonymization" in str(v) for v in verdict.violations)
+        service = delivery(catalog, checker, report(sql, "health_director", "a"))
+        with pytest.raises(ComplianceError, match="anonymization"):
+            service.deliver("a", user="dora", purpose="care")
+
+    def test_the_attribute_under_its_own_name_is_still_enforced(self, mr):
+        catalog, checker = mr
+        sql = "SELECT patient, region, disease AS disease, cost AS price FROM mr"
+        service = delivery(catalog, checker, report(sql, "health_director", "a"))
+        table = service.deliver("a", user="dora", purpose="care").table
+        assert "HIV" not in table.column_values("disease")
+        assert set(table.column_values("region")) == {None}
+
+
 class TestWarehouseGate:
     @staticmethod
     def gate(*annotations):

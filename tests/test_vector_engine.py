@@ -1,26 +1,24 @@
-"""Vector fast path: bitset masks round-trip and the fused kernels agree
-with the row reference.
+"""Vector fast path: the fused kernels agree with the row reference.
 
 The heavyweight value/lineage/where differential lives in
 ``test_engine_differential.py`` (which now exercises the vector path by
 default). This module pins the vector layer's own contracts:
 
-* ``pack_rows`` / ``unpack_rows`` / ``mask_from_selector`` are mutually
-  inverse encodings of ordinal sets (property-based);
-* ``MaskProvenance`` decodes to exactly the reference engine's provenance;
+* ``MaskProvenance`` decodes to exactly the reference engine's provenance,
+  aggregates' group rows included;
 * the fast path actually engages on eligible plans (lazy provenance marker
   on the result);
 * views in FROM position are inlined at plan time (recursively, within the
   resolver's nesting limit) and every other view shape declines to the row
-  engine's operators.
+  engine's operators;
+* an inlined view's joined frame is reused while the catalog state its body
+  reads is unchanged, and never narrowed, shared or trusted past it.
 """
 
 from __future__ import annotations
 
-from hypothesis import given
-from hypothesis import strategies as st
+import dataclasses
 
-from repro.provenance import mask_from_selector, pack_rows, unpack_rows
 import pytest
 
 from repro.errors import QueryError
@@ -29,6 +27,7 @@ from repro.relational import (
     ROW,
     Catalog,
     ExecutionConfig,
+    PlanCache,
     Query,
     Table,
     View,
@@ -36,45 +35,11 @@ from repro.relational import (
     make_schema,
     parse_query,
 )
+from repro.relational import vector
 from repro.relational.types import ColumnType
 from repro.relational.vector import try_vector_core
 
 UNCACHED = ExecutionConfig(mode="columnar", use_plan_cache=False)
-
-
-# ---------------------------------------------------------------------------
-# Mask encodings (property-based round trips)
-# ---------------------------------------------------------------------------
-
-
-ordinal_sets = st.sets(st.integers(min_value=0, max_value=2_000), max_size=64)
-
-
-@given(ordinal_sets)
-def test_pack_unpack_round_trip(ordinals):
-    assert unpack_rows(pack_rows(ordinals)) == sorted(ordinals)
-
-
-@given(st.integers(min_value=0, max_value=2**256 - 1))
-def test_unpack_pack_round_trip(mask):
-    assert pack_rows(unpack_rows(mask)) == mask
-
-
-@given(st.lists(st.sampled_from([0, 1]), max_size=300))
-def test_selector_mask_matches_pack(bits):
-    selector = bytes(bits)
-    expected = pack_rows(i for i, b in enumerate(bits) if b)
-    mask = mask_from_selector(selector)
-    assert mask == expected
-    assert unpack_rows(mask) == [i for i, b in enumerate(bits) if b]
-
-
-def test_unpack_is_sorted_and_sparse_masks_work():
-    # A mask with only high bits set must not cost a full low-range scan.
-    high = pack_rows([10_000, 50_000])
-    assert unpack_rows(high) == [10_000, 50_000]
-    assert unpack_rows(0) == []
-    assert mask_from_selector(b"") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +106,107 @@ def test_ineligible_shapes_fall_back_cleanly():
     assert _normalized(execute(query, cat, config=UNCACHED)) == _normalized(
         execute(query, cat, config=ROW)
     )
+
+
+# ---------------------------------------------------------------------------
+# Grouped provenance: each group's frame rows, read through a leaf's index
+# ---------------------------------------------------------------------------
+
+
+def _assert_same(fused: Table, reference: Table) -> None:
+    """Schema, rows in order and decoded provenance equal the reference's."""
+    assert fused.schema.names == reference.schema.names
+    assert fused.rows == reference.rows
+    assert list(fused.provenance) == list(reference.provenance)
+
+
+def _assert_matches_reference(query: Query, cat: Catalog) -> None:
+    reference = execute(query, cat, config=ROW)
+    _assert_same(execute(query, cat, config=UNCACHED), reference)
+    # The plan cache decodes on commit, and its hit shares the decoded rows.
+    cached = ExecutionConfig(mode="columnar", plan_cache=PlanCache())
+    _assert_same(execute(query, cat, config=cached), reference)
+    _assert_same(execute(query, cat, config=cached), reference)
+
+
+@pytest.mark.parametrize(
+    "sql, group_rows",
+    [
+        # A byte-coded key over a base table: groups are 0/1 selectors.
+        (
+            "SELECT category, COUNT(*) AS n, SUM(value) AS total "
+            "FROM t GROUP BY category",
+            bytes,
+        ),
+        # A byte-coded key over a join whose rows both leaves gather.
+        (
+            "SELECT label, COUNT(*) AS n, SUM(value) AS total "
+            "FROM d JOIN t ON k = k WHERE value > 20 GROUP BY label",
+            bytes,
+        ),
+        # A multi-key group over a join: member lists, and each dimension
+        # row feeds several members of its group.
+        (
+            "SELECT category, label, COUNT(*) AS n, MAX(value) AS peak "
+            "FROM t JOIN d ON k = k GROUP BY category, label",
+            list,
+        ),
+        # HAVING keeps 3 of 5 selector groups, then 3 of 7 member groups.
+        (
+            "SELECT category, SUM(value) AS total FROM t JOIN d ON k = k "
+            "GROUP BY category HAVING total > 1150",
+            bytes,
+        ),
+        (
+            "SELECT k, SUM(value) AS total FROM t GROUP BY k HAVING total > 840",
+            list,
+        ),
+    ],
+)
+def test_grouped_provenance_decodes_to_the_reference(sql, group_rows):
+    cat = _catalog()
+    query = parse_query(sql)
+    fast = try_vector_core(query, cat)
+    assert fast is not None
+    contribs = fast.provenance.contribs
+    assert {c.kind for c in contribs} == {"group"}
+    assert all(isinstance(c.data[0], group_rows) for c in contribs)
+    if query.having is not None:
+        everything = execute(dataclasses.replace(query, having=None), cat)
+        assert 0 < len(fast) < len(everything)
+    _assert_matches_reference(query, cat)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT category, SUM(value) AS total FROM t JOIN d ON k = k "
+        "GROUP BY category ORDER BY total DESC LIMIT 3",
+        "SELECT k, COUNT(*) AS n FROM t GROUP BY k ORDER BY k DESC",
+        "SELECT category, label, COUNT(*) AS n FROM t JOIN d ON k = k "
+        "GROUP BY category, label LIMIT 4",
+    ],
+)
+def test_order_and_limit_after_an_aggregate_core(sql):
+    _assert_matches_reference(parse_query(sql), _catalog())
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT category, COUNT(*) AS n FROM t WHERE value > 1000 GROUP BY category",
+        "SELECT COUNT(*) AS n, SUM(value) AS total FROM t WHERE value > 1000",
+        "SELECT category, COUNT(*) AS n FROM e GROUP BY category",
+        "SELECT k, COUNT(*) AS n FROM e GROUP BY k",
+        "SELECT COUNT(*) AS n FROM e JOIN d ON k = k",
+    ],
+)
+def test_grouped_provenance_over_empty_input(sql):
+    cat = _catalog()
+    cat.add_table(Table("e", cat.table("t").schema, provider="p"))
+    query = parse_query(sql)
+    assert try_vector_core(query, cat) is not None
+    _assert_matches_reference(query, cat)
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +312,94 @@ def test_inlined_chains_count_against_the_nesting_limit():
         try_vector_core(parse_query("SELECT k FROM c31"), cat, 1)
     with pytest.raises(QueryError, match="nesting"):
         execute(parse_query("SELECT k FROM c33"), cat, config=UNCACHED)
+
+
+# ---------------------------------------------------------------------------
+# One joined frame per view per catalog state
+# ---------------------------------------------------------------------------
+
+STAR = "SELECT t.k AS tk, category, value, label FROM t JOIN d ON k = k"
+
+
+def _star_catalog() -> Catalog:
+    cat = _catalog()
+    cat.add_view(View("star", parse_query(STAR)))
+    return cat
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Counts the hash joins the vector kernels run."""
+    calls = []
+    probe = vector._probe_inner
+
+    def counting(left_keys, right_keys):
+        calls.append(1)
+        return probe(left_keys, right_keys)
+
+    monkeypatch.setattr(vector, "_probe_inner", counting)
+    return calls
+
+
+def _joins(probes, query: Query, cat: Catalog) -> int:
+    """How many hash joins one uncached execution of ``query`` ran; its
+    result equals the row reference's."""
+    before = len(probes)
+    _assert_same(execute(query, cat, config=UNCACHED), execute(query, cat, config=ROW))
+    return len(probes) - before
+
+
+@pytest.mark.parametrize(
+    "table, row", [("t", (3, "a", 55)), ("d", (3, "label3b"))]
+)
+def test_an_insert_joins_the_view_again(probes, table, row):
+    cat = _star_catalog()
+    report = parse_query("SELECT label, SUM(value) AS total FROM star GROUP BY label")
+    assert _joins(probes, report, cat) == 1
+    assert _joins(probes, report, cat) == 0
+    cat.table(table).insert(row)
+    assert _joins(probes, report, cat) == 1
+    assert _joins(probes, report, cat) == 0
+
+
+def test_replacing_the_view_joins_again(probes):
+    cat = _star_catalog()
+    report = parse_query("SELECT category, label FROM star")
+    assert _joins(probes, report, cat) == 1
+    cat.add_view(View("star", parse_query(STAR + " WHERE value > 50")), replace=True)
+    assert _joins(probes, report, cat) == 1
+    assert _joins(probes, report, cat) == 0
+
+
+def test_an_outer_where_does_not_narrow_the_kept_frame(probes):
+    cat = _star_catalog()
+    assert _joins(probes, parse_query("SELECT label FROM star WHERE value > 90"), cat) == 1
+    # The same frame, unnarrowed, then extended by a join of the caller's.
+    assert _joins(probes, parse_query("SELECT label, value FROM star"), cat) == 0
+    joined = parse_query("SELECT category, d.label AS dl FROM star JOIN d ON tk = k")
+    assert _joins(probes, joined, cat) == 1
+    assert _joins(probes, parse_query("SELECT tk, label FROM star"), cat) == 0
+
+
+def test_catalogs_do_not_share_a_view_frame(probes):
+    first = _star_catalog()
+    second = _catalog()
+    second.table("t").insert((1, "z", 999))
+    second.add_view(View("star", parse_query(STAR + " WHERE value > 500")))
+    report = parse_query("SELECT category, COUNT(*) AS n FROM star GROUP BY category")
+    assert _joins(probes, report, first) == 1
+    assert _joins(probes, report, second) == 1
+    assert execute(report, second, config=UNCACHED).rows == [("z", 1)]
+
+
+def test_a_kept_frame_raises_what_a_fresh_walk_raises():
+    # The nesting limit: test_inlined_chains_count_against_the_nesting_limit
+    # keeps the chain's frames at depth 0, then asks for them at depth 1.
+    # Here a base table the kept frame joined goes away.
+    cat = _star_catalog()
+    query = parse_query("SELECT label FROM star")
+    execute(query, cat, config=UNCACHED)
+    cat.drop("d")
+    for config in (UNCACHED, ROW):
+        with pytest.raises(QueryError, match="unknown relation 'd'"):
+            execute(query, cat, config=config)
