@@ -3,11 +3,11 @@
 The paper's central claim (§5) is that meta-report PLAs make compliance
 *statically checkable*: every report should be provable as a view of an
 approved meta-report before anything runs. This package is that claim as a
-compiler-style analysis layer — a column-level dataflow IR with a
-quasi-identifier taint lattice, a rule-set linter over PLA annotation sets,
-an execution-free ETL flow check, and a whole-catalog pass emitting typed
-:class:`Diagnostic` findings with stable codes (``PLA001``…``RPT002``),
-runnable in CI via ``repro lint``.
+compiler-style analysis layer — the catalog's column-level lineage plus the
+columns predicates disclose, a quasi-identifier taint lattice, a rule-set
+linter over PLA annotation sets, an execution-free ETL flow check, and a
+whole-catalog pass emitting typed :class:`Diagnostic` findings with stable
+codes (``PLA001``…``RPT002``), runnable in CI via ``repro lint``.
 """
 
 from repro.analysis.analyzer import AnalysisInput, StaticAnalyzer, analyze_scenario

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.analysis.dataflow import column_flows
+from repro.analysis.dataflow import column_flows, qualified
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, Severity
 from repro.analysis.etl_lint import (
     lint_catalog_lineage,
@@ -166,7 +166,9 @@ class StaticAnalyzer:
             ]
         exposed = metareport.columns()
         sensitivity = {
-            name: self.target.sensitivity.of_sources(flow.flow_of(name).sources)
+            name: self.target.sensitivity.of_sources(
+                qualified(flow.flow_of(name).sources)
+            )
             for name in exposed
         }
         base_columns = self._base_columns_of(metareport.query.source)
@@ -230,9 +232,8 @@ class StaticAnalyzer:
         for column, column_flow in flow.columns:
             if column_flow.aggregated or not column_flow.copied:
                 continue
-            if self.target.sensitivity.of_sources(column_flow.copied) is (
-                Sensitivity.DIRECT
-            ):
+            copied = qualified(column_flow.copied)
+            if self.target.sensitivity.of_sources(copied) is Sensitivity.DIRECT:
                 out.append(
                     Diagnostic(
                         code="RPT002",
@@ -240,8 +241,7 @@ class StaticAnalyzer:
                         location=location,
                         message=(
                             f"detail report copies direct identifier "
-                            f"{column!r} (from "
-                            f"{sorted(column_flow.copied)}) into its output"
+                            f"{column!r} (from {copied}) into its output"
                         ),
                         fix_hint=(
                             "aggregate the report, or rely on an "
@@ -257,14 +257,15 @@ class StaticAnalyzer:
         # fire this.
         disclosed = {
             source
-            for source in flow.condition_sources
+            for source in qualified(flow.condition_sources)
             if self.target.sensitivity.classify(source) is Sensitivity.DIRECT
         }
-        exposed = {
+        exposed = qualified(
             source for _, column_flow in flow.columns
+            if not column_flow.aggregated
             for source in column_flow.copied
-        }
-        for source in sorted(disclosed - exposed):
+        )
+        for source in sorted(disclosed.difference(exposed)):
             out.append(
                 Diagnostic(
                     code="RPT003",

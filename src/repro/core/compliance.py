@@ -276,25 +276,23 @@ class ComplianceChecker:
     def _renamed(
         self, report: ReportDefinition, metareport: Query, attribute: str
     ) -> list[str]:
-        """The output names, other than ``attribute``, under which a
-        non-aggregate block of the report shows the meta-report attribute's
-        values: a rename, or an expression over it (traced to base columns
-        by :meth:`Catalog.sources`)."""
-        meta = dict(
-            zip(self.catalog.output_names(metareport), self.catalog.sources(metareport))
-        )
-        base = meta.get(attribute)
-        if not base:
+        """The output names, other than ``attribute``, under which a block of
+        the report shows the meta-report attribute's values, traced to base
+        columns by :meth:`Catalog.sources`: an output that is not aggregated
+        and meets the attribute's sources (a rename, or an expression over
+        it), or whose copies meet them (a ``MIN`` or ``MAX``). ``COUNT``,
+        ``SUM`` and ``AVG`` show no value of the attribute."""
+        meta = dict(self.catalog.sources(metareport))
+        if attribute not in meta:
             return []
+        base = meta[attribute].sources
         return sorted(
             {
                 name
                 for block in report.query.blocks()
-                if not block.is_aggregate
-                for name, traced in zip(
-                    self.catalog.output_names(block), self.catalog.sources(block)
-                )
-                if name != attribute and traced & base
+                for name, flow in self.catalog.sources(block)
+                if name != attribute
+                and (flow.copied if flow.aggregated else flow.sources) & base
             }
         )
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.analysis.dataflow import column_flows
+from repro.analysis.dataflow import column_flows, qualified
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, Severity
 from repro.errors import (
     AnalysisError,
@@ -191,7 +191,7 @@ def _resolve_file_dialect(
     return DIALECTS[name]
 
 
-def _baseline_condition_sources(catalog: Catalog) -> frozenset[str]:
+def _baseline_condition_sources(catalog: Catalog) -> frozenset[tuple[str, str]]:
     """Base columns the deployment's own views already condition on.
 
     The star schema's wide views join fact to dimensions on surrogate keys;
@@ -200,7 +200,7 @@ def _baseline_condition_sources(catalog: Catalog) -> frozenset[str]:
     ingested SQL chose to filter on, so ING007 subtracts them — the warning
     should name only predicates the suite introduced.
     """
-    sources: set[str] = set()
+    sources: set[tuple[str, str]] = set()
     for name in catalog.view_names():
         try:
             flow = column_flows(Query.from_(name), catalog)
@@ -216,7 +216,7 @@ def _ingest_file(
     dialect: Dialect,
     overlay: Catalog,
     taken_names: set[str],
-    baseline: frozenset[str],
+    baseline: frozenset[tuple[str, str]],
     result: IngestResult,
 ) -> None:
     try:
@@ -287,7 +287,7 @@ def _compile_statement(
     dialect: Dialect,
     overlay: Catalog,
     taken_names: set[str],
-    baseline: frozenset[str],
+    baseline: frozenset[tuple[str, str]],
     result: IngestResult,
 ) -> None:
     origin = f"{path.name}:{statement.line}"
@@ -382,10 +382,10 @@ def _compile_statement(
         record.ok = True
         return
 
-    output_sources: set[str] = set()
+    output_sources: set[tuple[str, str]] = set()
     lineage: dict[str, list[str]] = {}
     for column, column_flow in flow.columns:
-        lineage[column] = sorted(column_flow.sources)
+        lineage[column] = qualified(column_flow.sources)
         output_sources |= column_flow.sources
     widened = flow.condition_sources - output_sources - baseline
     if widened:
@@ -395,7 +395,7 @@ def _compile_statement(
                 severity=Severity.WARNING,
                 location=location,
                 message="report's predicates disclose base columns its "
-                f"outputs do not carry: {sorted(widened)}",
+                f"outputs do not carry: {qualified(widened)}",
                 fix_hint="row membership reveals these values; confirm the "
                 "covering PLA permits filtering on them",
             )

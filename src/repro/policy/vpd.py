@@ -136,12 +136,12 @@ class VPDPolicy:
         if not masks:
             return query
         by_column = {m.column: m for m in masks}
-        traced = dict(zip(catalog.output_names(relation), catalog.sources(relation)))
+        traced = dict(catalog.sources(relation))
         masked = {
             name: by_column[source]
             for name, origin, column in catalog.scope(query)
             if origin == relation
-            for table, source in sorted(traced[column])
+            for table, source in sorted(traced[column].sources)
             if table == base and source in by_column
         }
         if not masked:

@@ -1,20 +1,97 @@
-"""Catalog: the namespace of base tables and views a query runs against."""
+"""Catalog: the namespace of base tables and views a query runs against.
+
+The catalog also answers, without executing anything, what a query shows,
+what it reads and where each of its columns comes from. The last is static
+where-provenance (:meth:`Catalog.sources`): a :class:`ColumnFlow` for each
+output, over base ``(table, column)`` pairs, under the rules the
+:mod:`~repro.relational.algebra` operators propagate where-provenance by:
+
+* a plain or ``Col``-aliased item keeps a copy;
+* an expression derives from its inputs;
+* an aggregate marks its flow ``aggregated``; ``MIN``/``MAX`` are copies,
+  since their value is one base value, while ``COUNT``/``SUM``/``AVG``
+  derive;
+* UNION branches merge position by position;
+* each JOIN ON column is resolved on the side that provides it, and joins
+  qualify colliding names as ``Schema.concat`` does.
+
+An unknown column or a ragged UNION raises :class:`CatalogError`, as the
+engine would refuse the query. Every privacy decision and ``repro lint``
+read these flows; the static flows over-approximate the runtime
+where-provenance of every output cell (checked by property tests).
+"""
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable, Iterable
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Mapping
 
 from repro.errors import CatalogError
+from repro.relational.expressions import Col, Expr
 from repro.relational.query import Query
 from repro.relational.table import Table
 
-__all__ = ["View", "Catalog", "MAX_VIEW_DEPTH", "joined_names"]
+__all__ = [
+    "View", "Catalog", "ColumnFlow", "BlockScope", "MAX_VIEW_DEPTH", "joined_names"
+]
 
-#: Deepest view nesting the executors and the static dataflow resolve; a
+#: Deepest view nesting the executors and the static flows resolve; a
 #: deeper chain is refused as a probable cycle.
 MAX_VIEW_DEPTH = 32
+
+Pair = tuple[str, str]
+
+
+@dataclass(frozen=True)
+class ColumnFlow:
+    """Where one output column's values come from, statically.
+
+    ``copied`` holds the base ``(table, column)`` pairs whose values the
+    column may hold verbatim, ``derived`` those it may be computed from.
+    ``aggregated`` marks a flow that passed through an aggregate function:
+    its values summarize many base cells.
+    """
+
+    copied: frozenset[Pair] = frozenset()
+    derived: frozenset[Pair] = frozenset()
+    aggregated: bool = False
+
+    @property
+    def sources(self) -> frozenset[Pair]:
+        """Every base column this flow may disclose."""
+        return self.copied | self.derived
+
+    def as_derivation(self) -> "ColumnFlow":
+        """The same sources, demoted from copies to derivations."""
+        return ColumnFlow(derived=self.sources, aggregated=self.aggregated)
+
+    def merged(self, other: "ColumnFlow") -> "ColumnFlow":
+        return ColumnFlow(
+            self.copied | other.copied,
+            self.derived | other.derived,
+            self.aggregated or other.aggregated,
+        )
+
+
+class Scope(dict):
+    """Column name → :class:`ColumnFlow`; an unknown name raises
+    :class:`CatalogError`."""
+
+    def __missing__(self, name: str) -> ColumnFlow:
+        raise CatalogError(f"unknown column {name!r}; scope has {list(self)}")
+
+
+@dataclass(frozen=True)
+class BlockScope:
+    """One SELECT block resolved against the catalog, under the names the
+    engine gives its columns."""
+
+    keys: tuple[ColumnFlow, ...]  # each JOIN ON column, on its own side
+    joined: Mapping[str, ColumnFlow]  # what FROM and JOINs yield; WHERE reads it
+    grouped: Mapping[str, ColumnFlow]  # group keys, then aggregates; HAVING reads it
+    outputs: tuple[tuple[str, ColumnFlow], ...]  # what the block shows
 
 
 def joined_names(
@@ -67,6 +144,8 @@ class Catalog:
         self.ddl_version = 0
         self.uid = next(Catalog._serial)
         self._mutation_hooks: list[Callable[["Catalog", str], None]] = []
+        # (view, nesting depth, ddl_version) → the view's named flows.
+        self._view_flows: dict[tuple[str, int, int], tuple] = {}
         # Serializes DDL mutations and hook registration against each other.
         # Reentrant because mutation hooks may re-enter the catalog (e.g. to
         # recompute state tokens while invalidating). Concurrent *readers*
@@ -94,6 +173,7 @@ class Catalog:
         # Caller holds self._lock; hooks run under it so a concurrent writer
         # cannot interleave between the version bump and the invalidations.
         self.ddl_version += 1
+        self._view_flows.clear()
         for hook in tuple(self._mutation_hooks):
             hook(self, name)
 
@@ -250,21 +330,35 @@ class Catalog:
                 used.update(column for column, _ in block.order)
         return frozenset(used)
 
-    def sources(self, source: str | Query) -> tuple[frozenset[tuple[str, str]], ...]:
-        """Where each of :meth:`output_names`' columns comes from, in order:
-        the base ``(table, column)`` pairs its values are copied or computed
-        from, through views, joins, aggregates and every UNION branch (an
-        output column holds each branch's column at its position)."""
-        return self._sources(source, 0)
+    def sources(self, source: str | Query) -> tuple[tuple[str, ColumnFlow], ...]:
+        """Each of :meth:`output_names`' columns, in order, with where it
+        comes from through views, joins, aggregates and every UNION branch
+        (an output column holds each branch's column at its position)."""
+        if isinstance(source, str):
+            return self._relation(source, 0)
+        return self._flows(source, 0)
 
-    def input_sources(self, query: Query) -> frozenset[tuple[str, str]]:
-        """The base ``(table, column)`` pairs behind :meth:`input_names`."""
-        out: set[tuple[str, str]] = set()
+    def resolve(self, block: Query) -> BlockScope:
+        """``block`` (one of :meth:`Query.blocks`) with every name it can
+        read traced to base columns."""
+        return self._block(block, 0)
+
+    def input_sources(self, query: Query) -> frozenset[Pair]:
+        """The base ``(table, column)`` pairs behind :meth:`input_names`:
+        each JOIN ON column on the side that provides it, WHERE, GROUP BY
+        and aggregate inputs, and what a non-aggregate block shows."""
+        flows: list[ColumnFlow] = []
         for block in query.blocks():
-            scope = dict(self._scope_sources(block, 0))
-            for name in self.input_names(block):
-                out.update(scope.get(name, ()))
-        return frozenset(out)
+            scope = self._block(block, 0)
+            read = set(block.group_by)
+            read.update(a.column for a in block.aggregates if a.column is not None)
+            if block.where is not None:
+                read.update(block.where.columns())
+            flows += scope.keys
+            flows += (scope.joined[name] for name in read)
+            if not block.is_aggregate:
+                flows += (flow for _, flow in scope.outputs)
+        return frozenset(pair for flow in flows for pair in flow.sources)
 
     def _output_names(self, source: str | Query, depth: int) -> tuple[str, ...]:
         if isinstance(source, str):
@@ -279,55 +373,88 @@ class Catalog:
         return tuple(name for name, _, _ in self._scope(source, depth))
 
     def _scope(self, query: Query, depth: int) -> tuple[tuple[str, str, str], ...]:
-        columns = [(c, query.source, c) for c in self._output_names(query.source, depth)]
-        left = query.source
-        for clause in query.joins:
-            right = [
-                (c, clause.table, c) for c in self._output_names(clause.table, depth)
-            ]
+        columns, _ = self._joined(
+            query,
+            lambda relation: [
+                (c, (relation, c)) for c in self._output_names(relation, depth)
+            ],
+        )
+        return tuple((name, relation, c) for name, (relation, c) in columns)
+
+    def _joined(self, block: Query, columns_of: Callable[[str], Iterable]):
+        """``block``'s FROM scope as ``(name, item)`` pairs under the engine's
+        names, ``columns_of(relation)`` giving each relation's own pairs;
+        and the left and right sides' pairs of each JOIN."""
+        columns = list(columns_of(block.source))
+        left = block.source
+        sides = []
+        for clause in block.joins:
+            right = list(columns_of(clause.table))
+            sides.append((columns, right))
             names = joined_names(
-                tuple(n for n, _, _ in columns), left,
-                tuple(n for n, _, _ in right), clause.table,
+                tuple(n for n, _ in columns), left,
+                tuple(n for n, _ in right), clause.table,
             )
-            columns = [(n, r, c) for n, (_, r, c) in zip(names, columns + right)]
+            columns = list(zip(names, (item for _, item in columns + right)))
             left = f"{left}_{clause.table}"
-        return tuple(columns)
+        return columns, sides
 
-    def _sources(
-        self, source: str | Query, depth: int
-    ) -> tuple[frozenset[tuple[str, str]], ...]:
-        if isinstance(source, str):
-            if source in self._tables:
-                names = self._tables[source].schema.names
-                return tuple(frozenset([(source, c)]) for c in names)
-            if depth > MAX_VIEW_DEPTH:
-                raise CatalogError(f"view nesting deeper than {MAX_VIEW_DEPTH}; cycle?")
-            return self._sources(self.view(source).query, depth + 1)
-        merged: list[frozenset[tuple[str, str]]] | None = None
-        for block in source.blocks():
-            scope = self._scope_sources(block, depth)
-            if block.is_aggregate:
-                found = dict(scope)
-                scope = [(g, found.get(g, frozenset())) for g in block.group_by] + [
-                    (a.alias, found.get(a.column, frozenset())) for a in block.aggregates
-                ]
-            found = dict(scope)
-            outputs = [
-                found.get(item, frozenset())
-                if isinstance(item, str)
-                else frozenset().union(*(found.get(c, ()) for c in item[1].columns()))
-                for item in block.select
-            ] or [traced for _, traced in scope]
-            merged = outputs if merged is None else [a | b for a, b in zip(merged, outputs)]
-        return tuple(merged or ())
+    def _relation(self, name: str, depth: int) -> tuple[tuple[str, ColumnFlow], ...]:
+        if name in self._tables:
+            return tuple(
+                (c, ColumnFlow(copied=frozenset([(name, c)])))
+                for c in self._tables[name].schema.names
+            )
+        if depth > MAX_VIEW_DEPTH:
+            raise CatalogError(f"view nesting deeper than {MAX_VIEW_DEPTH}; cycle?")
+        # Keyed by depth, so a hit stands for a walk that kept within the
+        # nesting limit from here; by DDL generation, so a walk that a
+        # mutation overtook fills an entry no later lookup reads.
+        key = (name, depth, self.ddl_version)
+        flows = self._view_flows.get(key)
+        if flows is None:
+            flows = self._flows(self.view(name).query, depth + 1)
+            self._view_flows[key] = flows
+        return flows
 
-    def _scope_sources(
-        self, block: Query, depth: int
-    ) -> list[tuple[str, frozenset[tuple[str, str]]]]:
-        """Each name ``block``'s FROM scope shows, with its :meth:`sources`."""
-        relations = (block.source,) + tuple(clause.table for clause in block.joins)
-        traced = [s for relation in relations for s in self._sources(relation, depth)]
-        return [(name, s) for (name, _, _), s in zip(self._scope(block, depth), traced)]
+    def _flows(self, query: Query, depth: int) -> tuple[tuple[str, ColumnFlow], ...]:
+        head, *branches = query.blocks()
+        outputs = self._block(head, depth).outputs
+        for branch in branches:
+            other = self._block(branch, depth).outputs
+            if len(other) != len(outputs):
+                raise CatalogError(
+                    f"set operation arity mismatch: head has {len(outputs)} "
+                    f"column(s), branch over {branch.source!r} has {len(other)}"
+                )
+            outputs = tuple(
+                (name, flow.merged(theirs))
+                for (name, flow), (_, theirs) in zip(outputs, other)
+            )
+        return outputs
+
+    def _block(self, block: Query, depth: int) -> BlockScope:
+        columns, sides = self._joined(block, lambda r: self._relation(r, depth))
+        keys = []
+        for (left, right), clause in zip(sides, block.joins):
+            left_scope, right_scope = Scope(left), Scope(right)
+            for lcol, rcol in clause.on:
+                keys += (left_scope[lcol], right_scope[rcol])
+        joined = grouped = Scope(columns)
+        if block.is_aggregate:
+            grouped = Scope((g, joined[g]) for g in block.group_by)
+            for spec in block.aggregates:
+                flow = ColumnFlow() if spec.column is None else joined[spec.column]
+                if spec.func not in ("min", "max"):
+                    flow = flow.as_derivation()
+                grouped[spec.alias] = replace(flow, aggregated=True)
+        outputs = tuple(
+            (item, grouped[item])
+            if isinstance(item, str)
+            else (item[0], _computed(item[1], grouped))
+            for item in block.select
+        ) or tuple(grouped.items())
+        return BlockScope(tuple(keys), joined, grouped, outputs)
 
     def base_relations_of_query(self, query: Query) -> frozenset[str]:
         """Transitive base tables referenced anywhere in ``query``."""
@@ -353,3 +480,12 @@ class Catalog:
                 for name in sorted(self.base_relations_of_query(query))
             )
             return (self.uid, self.ddl_version, parts)
+
+
+def _computed(expr: Expr, scope: Mapping[str, ColumnFlow]) -> ColumnFlow:
+    if isinstance(expr, Col):
+        return scope[expr.name]
+    flow = ColumnFlow()
+    for name in expr.columns():
+        flow = flow.merged(scope[name].as_derivation())
+    return flow

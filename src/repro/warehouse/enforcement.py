@@ -84,8 +84,8 @@ class WarehouseEnforcer:
             pair
             for block in query.blocks()
             if not block.is_aggregate
-            for traced in self.catalog.sources(block)
-            for pair in traced
+            for _, flow in self.catalog.sources(block)
+            for pair in flow.sources
         }
         if floor > 1 and any(
             column in self.metadata.sensitive_columns(table) for table, column in shown

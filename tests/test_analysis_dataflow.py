@@ -1,11 +1,13 @@
 """Tests for the static column-level dataflow pass.
 
-The manual cases pin each propagation rule to its runtime counterpart in
-:mod:`repro.relational.algebra`; the hypothesis property test then checks
-the soundness contract on randomly generated query trees: for every output
-cell, the runtime where-provenance refs are a subset of the static
-``copied | derived`` sources of that column (and of ``copied`` alone for
-plain copy columns).
+The manual cases pin each propagation rule of the catalog's walk
+(:meth:`Catalog.sources`, which lint reads through :func:`column_flows`)
+to its runtime counterpart in :mod:`repro.relational.algebra`; the
+hypothesis property test then checks the soundness contract on randomly
+generated query trees over base tables and over renaming, computing and
+aggregating views: for every output cell, the runtime where-provenance
+refs are a subset of the static ``copied | derived`` sources of that
+column (and of ``copied`` alone for plain copy columns).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from repro.analysis import ColumnFlow, column_flows
 from repro.analysis.dataflow import live_predicate_columns
 from repro.errors import AnalysisError
-from repro.relational import Catalog, View, execute
+from repro.relational import Catalog, View, execute, parse_query
 from repro.relational.algebra import AggSpec
 from repro.relational.expressions import (
     And,
@@ -35,6 +37,15 @@ from repro.relational.types import ColumnType
 INT = ColumnType.INT
 STRING = ColumnType.STRING
 
+#: Views the generated queries may read: renaming, computing over the
+#: renaming one, and aggregating over the computing one. Each keeps ``k``,
+#: so joining ``u`` on it qualifies both keys.
+VIEWS = {
+    "vr": "SELECT k, x AS xv, s FROM t",
+    "vc": "SELECT k, xv + k AS sx, s FROM vr",
+    "va": "SELECT k, COUNT(*) AS vn, MAX(sx) AS mx, MIN(s) AS ms FROM vc GROUP BY k",
+}
+
 
 def small_catalog() -> Catalog:
     t = Table.from_rows(
@@ -52,31 +63,33 @@ def small_catalog() -> Catalog:
     catalog = Catalog()
     catalog.add_table(t)
     catalog.add_table(u)
+    for name, sql in VIEWS.items():
+        catalog.add_view(View(name, parse_query(sql)))
     return catalog
 
 
 CATALOG = small_catalog()
 
 
+def copy(*pairs: str) -> ColumnFlow:
+    return ColumnFlow(copied=frozenset(tuple(p.split(".")) for p in pairs))
+
+
 class TestPropagationRules:
     def test_base_table_columns_are_self_copies(self):
         flow = column_flows(Query.from_("t"), CATALOG)
-        assert flow.flow_of("x") == ColumnFlow(copied=frozenset({"t.x"}))
+        assert flow.flow_of("x") == copy("t.x")
         assert flow.names() == ("k", "x", "s")
 
     def test_plain_projection_and_alias_keep_copies(self):
         query = Query.from_("t").project("x", ("xx", Col("x")))
         flow = column_flows(query, CATALOG)
-        assert flow.flow_of("x").copied == {"t.x"}
-        assert flow.flow_of("xx").copied == {"t.x"}
-        assert not flow.flow_of("xx").derived
+        assert flow.flow_of("x") == flow.flow_of("xx") == copy("t.x")
 
     def test_computed_projection_derives_from_all_inputs(self):
         query = Query.from_("t").project(("sum", Arith("+", Col("x"), Col("k"))))
-        got = flow = column_flows(query, CATALOG).flow_of("sum")
-        assert got.copied == frozenset()
-        assert got.derived == {"t.x", "t.k"}
-        assert flow.sources == {"t.x", "t.k"}
+        got = column_flows(query, CATALOG).flow_of("sum")
+        assert got == ColumnFlow(derived=frozenset({("t", "x"), ("t", "k")}))
 
     def test_where_discloses_predicate_columns(self):
         query = (
@@ -85,17 +98,18 @@ class TestPropagationRules:
             .project("s")
         )
         flow = column_flows(query, CATALOG)
-        assert flow.condition_sources == {"t.x"}
-        assert flow.all_sources() == {"t.x", "t.s"}
+        assert flow.condition_sources == {("t", "x")}
+        assert flow.flow_of("s") == copy("t.s")
 
     def test_join_qualifies_collisions_like_runtime(self):
         query = Query.from_("t").join("u", [("k", "k")])
         flow = column_flows(query, CATALOG)
         runtime = execute(query, CATALOG)
-        assert set(flow.names()) == set(runtime.schema.names)
-        assert flow.flow_of("t.k").copied == {"t.k"}
-        assert flow.flow_of("u.k").copied == {"u.k"}
-        assert flow.condition_sources == {"t.k", "u.k"}  # join keys disclosed
+        assert flow.names() == runtime.schema.names
+        assert flow.flow_of("t.k") == copy("t.k")
+        assert flow.flow_of("u.k") == copy("u.k")
+        # Each ON key is resolved on its own side, and disclosed.
+        assert flow.condition_sources == {("t", "k"), ("u", "k")}
 
     def test_aggregation_marks_flows_and_demotes_to_derivation(self):
         query = (
@@ -104,18 +118,33 @@ class TestPropagationRules:
             .agg(AggSpec("count", None, "n"), AggSpec("sum", "x", "sx"))
         )
         flow = column_flows(query, CATALOG)
-        assert flow.flow_of("s").copied == {"t.s"}
-        assert not flow.flow_of("s").aggregated
-        n = flow.flow_of("n")
-        assert n.aggregated and n.sources == frozenset()
-        sx = flow.flow_of("sx")
-        assert sx.aggregated and sx.derived == {"t.x"} and not sx.copied
+        assert flow.flow_of("s") == copy("t.s")
+        assert flow.flow_of("n") == ColumnFlow(aggregated=True)
+        assert flow.flow_of("sx") == ColumnFlow(
+            derived=frozenset({("t", "x")}), aggregated=True
+        )
+
+    def test_min_and_max_copy_one_base_value(self):
+        query = Query.from_("t").agg(
+            AggSpec("min", "x", "lo"), AggSpec("max", "s", "hi"),
+            AggSpec("avg", "x", "mean"),
+        )
+        flow = column_flows(query, CATALOG)
+        assert flow.flow_of("lo") == ColumnFlow(
+            copied=frozenset({("t", "x")}), aggregated=True
+        )
+        assert flow.flow_of("hi").copied == {("t", "s")}
+        assert flow.flow_of("mean") == ColumnFlow(
+            derived=frozenset({("t", "x")}), aggregated=True
+        )
 
     def test_views_are_expanded_to_base_tables(self):
-        catalog = small_catalog()
-        catalog.add_view(View("v", Query.from_("t").project("k", "x")))
-        flow = column_flows(Query.from_("v").project("x"), catalog)
-        assert flow.flow_of("x").copied == {"t.x"}
+        flow = column_flows(Query.from_("va"), CATALOG)
+        assert flow.flow_of("k") == copy("t.k")
+        # MAX over a computed column keeps the derivation.
+        assert flow.flow_of("mx") == ColumnFlow(
+            derived=frozenset({("t", "x"), ("t", "k")}), aggregated=True
+        )
 
     def test_unknown_relation_raises(self):
         with pytest_raises_analysis():
@@ -137,17 +166,26 @@ def pytest_raises_analysis():
 OPS = ("<", "<=", ">", ">=", "=", "!=")
 
 
+#: Each relation the generator reads: its columns, and the numeric ones.
+RELATIONS = {
+    "t": (["k", "x", "s"], ["k", "x"]),
+    "vr": (["k", "xv", "s"], ["k", "xv"]),
+    "vc": (["k", "sx", "s"], ["k", "sx"]),
+    "va": (["k", "vn", "mx", "ms"], ["k", "vn", "mx"]),
+}
+
+
 @st.composite
-def queries(draw) -> Query:
-    """Random query trees the engine accepts, over the fixed two-table catalog."""
-    query = Query.from_("t")
-    if draw(st.booleans()):  # join
+def queries(draw, relations=tuple(RELATIONS)) -> Query:
+    """Random query trees the engine accepts, over the fixed catalog."""
+    source = draw(st.sampled_from(relations))
+    query = Query.from_(source)
+    cols, numeric = RELATIONS[source]
+    if draw(st.booleans()):  # join on colliding keys
         query = query.join("u", [("k", "k")])
-        cols = ["t.k", "x", "s", "u.k", "z"]
-        numeric = ["t.k", "x", "u.k", "z"]
-    else:
-        cols = ["k", "x", "s"]
-        numeric = ["k", "x"]
+        qualify = {"k": f"{source}.k"}
+        cols = [qualify.get(c, c) for c in cols] + ["u.k", "z"]
+        numeric = [qualify.get(c, c) for c in numeric] + ["u.k", "z"]
 
     if draw(st.booleans()):  # where
         query = query.filter(
@@ -205,10 +243,8 @@ def queries(draw) -> Query:
     return query
 
 
-def runtime_refs(provenance, column) -> set[str]:
-    return {
-        f"{ref.row.table}.{ref.column}" for ref in provenance.where_of(column)
-    }
+def runtime_refs(provenance, column) -> set[tuple[str, str]]:
+    return {(ref.row.table, ref.column) for ref in provenance.where_of(column)}
 
 
 @given(query=queries())
@@ -231,6 +267,14 @@ def test_static_flow_covers_runtime_where_provenance(query):
             # Pure copy columns must be covered by the copy set alone.
             if flow.copied and not flow.derived and not flow.aggregated:
                 assert refs <= flow.copied
+
+
+@given(query=queries(relations=("t",)))
+@settings(max_examples=150, deadline=None)
+def test_input_sources_cover_condition_sources(query):
+    """What the warehouse gate checks covers what lint says predicates
+    disclose: every ON key, on its own side, and every WHERE column."""
+    assert column_flows(query, CATALOG).condition_sources <= CATALOG.input_sources(query)
 
 
 # -- dead-branch pruning: soundness (vs data) and precision ------------------
@@ -312,13 +356,13 @@ def test_dead_branch_stops_tainting_condition_sources():
     )
     query = Query.from_("t").filter(predicate).project("k")
     flow = column_flows(query, CATALOG)
-    assert flow.condition_sources == {"t.k", "t.x"}  # no t.s
+    assert flow.condition_sources == {("t", "k"), ("t", "x")}  # no t.s
     # Soundness half: without the contradicting conjunct the branch is
     # live again and s is disclosed.
     relaxed = Query.from_("t").filter(
         Or(dead_branch, Comparison(">", Col("k"), Lit(0)))
     ).project("k")
-    assert "t.s" in column_flows(relaxed, CATALOG).condition_sources
+    assert ("t", "s") in column_flows(relaxed, CATALOG).condition_sources
 
 
 @given(query=queries())

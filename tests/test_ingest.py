@@ -753,11 +753,8 @@ def test_render_parse_round_trip_preserves_fingerprint(query):
 # -- property: static lineage over-approximates runtime provenance ------------
 
 
-def runtime_refs(provenance, column) -> set[str]:
-    return {
-        f"{ref.row.table}.{ref.column}"
-        for ref in provenance.where_of(column)
-    }
+def runtime_refs(provenance, column) -> set[tuple[str, str]]:
+    return {(ref.row.table, ref.column) for ref in provenance.where_of(column)}
 
 
 @given(query=renderable_queries())

@@ -242,6 +242,43 @@ class TestAliases:
         with pytest.raises(ComplianceError, match="anonymization"):
             service.deliver("a", user="dora", purpose="care")
 
+    @pytest.mark.parametrize(
+        "sql, refusal",
+        [
+            (
+                "SELECT disease AS d, COUNT(*) AS n FROM mr GROUP BY disease",
+                "cell-level intensional condition cannot be applied to a report "
+                "that shows the attribute as ['d']",
+            ),
+            (
+                "SELECT region AS r, COUNT(*) AS n FROM mr GROUP BY region",
+                "anonymization cannot be applied to a report that shows the "
+                "attribute as ['r']",
+            ),
+            (
+                "SELECT MAX(region) AS r, COUNT(*) AS n FROM mr",
+                "anonymization cannot be applied to a report that shows the "
+                "attribute as ['r']",
+            ),
+        ],
+    )
+    def test_a_renamed_group_key_or_min_max_is_a_violation(self, mr, sql, refusal):
+        catalog, checker = mr
+        verdict = checker.check_report(report(sql, "health_director"))
+        assert not verdict.compliant
+        assert any(refusal in str(v) for v in verdict.violations)
+        service = delivery(catalog, checker, report(sql, "health_director", "a"))
+        with pytest.raises(ComplianceError, match="shows the attribute as"):
+            service.deliver("a", user="dora", purpose="care")
+
+    def test_a_sum_beside_the_attribute_shows_none_of_its_values(self, mr):
+        catalog, checker = mr
+        sql = "SELECT region, SUM(cost) AS c FROM mr GROUP BY region"
+        service = delivery(catalog, checker, report(sql, "health_director", "a"))
+        table = service.deliver("a", user="dora", purpose="care").table
+        assert set(table.column_values("region")) == {None}
+        assert sorted(table.column_values("c")) == [5, 10, 20, 30]
+
     def test_the_attribute_under_its_own_name_is_still_enforced(self, mr):
         catalog, checker = mr
         sql = "SELECT patient, region, disease AS disease, cost AS price FROM mr"
@@ -291,6 +328,22 @@ class TestWarehouseGate:
             assert check(sql) == explicit
             with pytest.raises(ComplianceError):
                 enforcer.run(query(sql), context)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT region FROM visits JOIN kin ON patient = patient",
+            "SELECT rname FROM visits JOIN kin ON patient = patient WHERE rname = 'north'",
+        ],
+    )
+    def test_join_keys_meet_the_column_role_limit(self, sql):
+        # The join qualifies both ON columns; each is traced on its own side.
+        check, enforcer, context = self.gate()
+        assert check(sql) == [
+            "column visits.patient is restricted to roles ['health_director']"
+        ]
+        with pytest.raises(ComplianceError):
+            enforcer.run(query(sql), context)
 
     def test_union_branches_and_join_qualified_names_are_checked(self):
         check, _, _ = self.gate(

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import CatalogError, QueryError
-from repro.relational import COLUMNAR, ROW, Catalog, Query, View, execute
-from repro.relational.catalog import MAX_VIEW_DEPTH
+from repro.relational import COLUMNAR, ROW, Catalog, Query, View, execute, parse_query
+from repro.relational.catalog import MAX_VIEW_DEPTH, ColumnFlow
 from repro.relational.algebra import AggSpec
 from repro.relational.expressions import col
 from repro.relational.table import Table, make_schema
@@ -142,29 +142,33 @@ class TestCatalog:
         assert cat.base_relations_of_query(q) == frozenset({"t"})
 
 
+def two_tables() -> Catalog:
+    cat = Catalog()
+    cat.add_table(
+        Table.from_rows(
+            "t",
+            make_schema(("k", ColumnType.INT), ("x", ColumnType.INT)),
+            [(1, 10), (2, 20)],
+            provider="p",
+        )
+    )
+    cat.add_table(
+        Table.from_rows(
+            "u",
+            make_schema(("k", ColumnType.INT), ("y", ColumnType.INT)),
+            [(1, 5), (3, 7)],
+            provider="q",
+        )
+    )
+    return cat
+
+
 class TestOutputNames:
     """``Catalog.output_names`` names what the engine's execution yields."""
 
     @pytest.fixture
     def cat(self):
-        cat = Catalog()
-        cat.add_table(
-            Table.from_rows(
-                "t",
-                make_schema(("k", ColumnType.INT), ("x", ColumnType.INT)),
-                [(1, 10), (2, 20)],
-                provider="p",
-            )
-        )
-        cat.add_table(
-            Table.from_rows(
-                "u",
-                make_schema(("k", ColumnType.INT), ("y", ColumnType.INT)),
-                [(1, 5), (3, 7)],
-                provider="q",
-            )
-        )
-        return cat
+        return two_tables()
 
     @pytest.mark.parametrize("config", [ROW, COLUMNAR], ids=["row", "columnar"])
     @pytest.mark.parametrize(
@@ -201,3 +205,95 @@ class TestOutputNames:
             previous = f"d{i}"
         with pytest.raises(CatalogError):
             cat.output_names(previous)
+
+
+def flow(copied=(), derived=(), aggregated=False) -> ColumnFlow:
+    """A flow over ``table.column`` names."""
+
+    def pairs(names):
+        return frozenset(tuple(name.split(".")) for name in names)
+
+    return ColumnFlow(pairs(copied), pairs(derived), aggregated)
+
+
+def flows(cat: Catalog, source) -> tuple[ColumnFlow, ...]:
+    names = cat.output_names(source)
+    assert tuple(name for name, _ in cat.sources(source)) == names
+    return tuple(flow for _, flow in cat.sources(source))
+
+
+class TestSources:
+    """``Catalog.sources`` traces each output to base ``(table, column)``
+    pairs: copies, derivations and aggregates, through views."""
+
+    @pytest.fixture
+    def cat(self):
+        cat = two_tables()
+        cat.add_view(View("renamed", parse_query("SELECT k AS key, x AS val FROM t")))
+        cat.add_view(
+            View("computed", parse_query("SELECT key, val, val + key AS total FROM renamed"))
+        )
+        cat.add_view(View("summary", parse_query(
+            "SELECT key, COUNT(*) AS n, SUM(val) AS s, MIN(val) AS lo, "
+            "MAX(total) AS hi FROM computed GROUP BY key"
+        )))
+        return cat
+
+    def test_copy_derive_and_aggregate_through_views(self, cat):
+        assert flows(cat, "renamed") == (flow(["t.k"]), flow(["t.x"]))
+        assert flows(cat, "computed") == (
+            flow(["t.k"]), flow(["t.x"]), flow(derived=["t.k", "t.x"]),
+        )
+        assert flows(cat, "summary") == (
+            flow(["t.k"]),
+            flow(aggregated=True),
+            flow(derived=["t.x"], aggregated=True),
+            # MIN and MAX hold one base value: a copy, or a derivation when
+            # the aggregated column is computed.
+            flow(["t.x"], aggregated=True),
+            flow(derived=["t.k", "t.x"], aggregated=True),
+        )
+        assert flows(cat, Query.from_("summary").project(("low", col("lo")))) == (
+            flow(["t.x"], aggregated=True),
+        )
+
+    def test_join_keys_are_resolved_on_their_own_side(self, cat):
+        query = Query.from_("t").join("u", [("k", "k")]).project("y")
+        assert cat.resolve(query).keys == (flow(["t.k"]), flow(["u.k"]))
+        assert cat.input_sources(query) == {("t", "k"), ("u", "k"), ("u", "y")}
+        # A later ON names the left side as the earlier join qualified it.
+        chained = Query.from_("t").join("u", [("k", "k")]).join("renamed", [("u.k", "key")])
+        assert cat.resolve(chained).keys[2:] == (flow(["u.k"]), flow(["t.k"]))
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            Query.from_("t").project("ghost"),
+            Query.from_("t").project("k", "x").union_with(Query.from_("u").project("y")),
+        ],
+        ids=["unknown_column", "ragged_union"],
+    )
+    def test_what_the_engine_refuses_raises(self, cat, query):
+        with pytest.raises(CatalogError):
+            cat.sources(query)
+
+    def test_view_flows_follow_a_redefinition(self, cat):
+        assert flows(cat, "computed")[0] == flow(["t.k"])
+        cat.add_view(
+            View("renamed", parse_query("SELECT y AS key, k AS val FROM u")), replace=True
+        )
+        assert flows(cat, "computed") == (
+            flow(["u.y"]), flow(["u.k"]), flow(derived=["u.k", "u.y"]),
+        )
+
+    def test_a_kept_view_walk_still_meets_the_nesting_limit(self, cat):
+        previous = "t"
+        for i in range(MAX_VIEW_DEPTH + 2):
+            cat.add_view(View(f"d{i}", Query.from_(previous)))
+            previous = f"d{i}"
+        # d{MAX} is as deep as a walk may go; walking it keeps every link's
+        # flows, at the depth each was walked from.
+        assert flows(cat, f"d{MAX_VIEW_DEPTH}") == flows(cat, "t")
+        for _ in range(2):
+            with pytest.raises(CatalogError, match="nesting"):
+                cat.sources(f"d{MAX_VIEW_DEPTH + 1}")
