@@ -14,6 +14,7 @@ before anything is deployed.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -104,6 +105,11 @@ class ComplianceChecker:
     _verdicts: LRUCache = field(
         default_factory=lambda: LRUCache(maxsize=512), repr=False, compare=False
     )
+    # (the meta-report set's objects, generation); see "verdict caching".
+    _metaset_memo: tuple = field(default=((), 0), init=False, repr=False, compare=False)
+    _metaset_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.source_identity:
@@ -125,12 +131,20 @@ class ComplianceChecker:
     # -- verdict caching -----------------------------------------------------
     #
     # A verdict is a pure function of (report definition, meta-report set
-    # incl. the PLA attached to each, catalog DDL). The key fingerprints all
-    # three, so *any* mutation — a PLA revision or approval, a report
-    # evolution step (``with_query``/``with_audience`` bump the version), a
-    # meta-report extension, or catalog DDL — changes the key and the stale
-    # verdict becomes unreachable. ``invalidate_cache`` additionally drops
-    # entries eagerly.
+    # incl. the PLA attached to each, catalog DDL). The key holds the
+    # report's fingerprint, a generation number of the meta-report set and
+    # the catalog's uid and DDL version, so *any* mutation — a PLA revision
+    # or approval, a report evolution step (``with_query``/``with_audience``
+    # bump the version), a meta-report extension, or catalog DDL — changes
+    # the key and the stale verdict becomes unreachable.
+    #
+    # The generation moves when a meta-report is added or removed, or when
+    # one's name, query or PLA is replaced. A PLA, its annotations and a
+    # query are frozen, so comparing each meta-report's objects by identity
+    # with the ones the generation was taken from is sound: the memo keeps
+    # references to them, so no other object can take their ids. A warm
+    # check walks no PLA. ``invalidate_cache`` additionally drops entries
+    # eagerly.
 
     def _report_fingerprint(self, report: ReportDefinition) -> tuple:
         return (
@@ -141,22 +155,26 @@ class ComplianceChecker:
             report.purpose,
         )
 
-    def _metaset_fingerprint(self) -> tuple:
-        parts = []
-        for metareport in self.metareports:
-            pla = metareport.pla
-            pla_fp = (
-                None
-                if pla is None
-                else (
-                    pla.name,
-                    pla.version,
-                    pla.status.value,
-                    tuple(a.describe() for a in pla.annotations),
-                )
-            )
-            parts.append((metareport.name, metareport.query.fingerprint(), pla_fp))
-        return tuple(parts)
+    def _metaset_generation(self) -> int:
+        seen, generation = self._metaset_memo
+        if self._metaset_is(seen):
+            return generation
+        # Moved under the lock, so each generation names one set of objects
+        # even when two workers see a change at once.
+        with self._metaset_lock:
+            seen, generation = self._metaset_memo
+            if not self._metaset_is(seen):
+                generation += 1
+                refs = tuple((m, m.name, m.query, m.pla) for m in self.metareports)
+                self._metaset_memo = (refs, generation)
+            return generation
+
+    def _metaset_is(self, seen: tuple) -> bool:
+        """Whether the meta-report set holds exactly the objects in ``seen``."""
+        return len(seen) == len(self.metareports) and all(
+            m is kept and m.name is name and m.query is query and m.pla is pla
+            for m, (kept, name, query, pla) in zip(self.metareports, seen)
+        )
 
     def cache_stats(self) -> dict[str, Any]:
         """Hit/miss counters of the verdict cache."""
@@ -170,7 +188,7 @@ class ComplianceChecker:
 
     def check_report(self, report: ReportDefinition) -> ComplianceVerdict:
         """Full compliance verdict for one report definition (memoized; see
-        the fingerprinting notes above).
+        the verdict caching notes above).
 
         When observability is on, checking emits a ``compliance.check`` span
         and counts the outcome as a meta-report-level enforcement decision
@@ -210,7 +228,7 @@ class ComplianceChecker:
         # rebound to a new catalog can't collide with a dead one's entries.
         key = (
             self._report_fingerprint(report),
-            self._metaset_fingerprint(),
+            self._metaset_generation(),
             self.catalog.uid,
             self.catalog.ddl_version,
         )

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
+from repro.cache import LRUCache
 from repro.errors import ComplianceError, EnforcementError
 from repro.anonymize.generalization import Hierarchy
 from repro.anonymize.pseudonym import Pseudonymizer
@@ -54,6 +55,10 @@ class ReportLevelEnforcer:
     catalog: Catalog
     pseudonymizer: Pseudonymizer | None = None
     hierarchies: dict[str, Hierarchy] = field(default_factory=dict)
+    _rewrites: LRUCache = field(
+        default_factory=lambda: LRUCache(maxsize=256),
+        init=False, repr=False, compare=False,
+    )
 
     def generate(
         self,
@@ -214,7 +219,29 @@ class ReportLevelEnforcer:
         report: ReportDefinition,
         conditions: list,
     ) -> tuple:
-        """Pull hidden condition columns into the query (§5's hidden-HIV trick)."""
+        """Pull hidden condition columns into the query (§5's hidden-HIV
+        trick): the query to run and the columns to project away after.
+
+        Kept per report query, conditions and catalog DDL generation, so
+        repeated deliveries run one query object, whose fingerprint is
+        memoized. The key holds the query's and conditions' ids; the entry
+        keeps references to them, so no other object can take those ids
+        while it lives. The DDL version is read before the rewrite, which
+        may register a view itself.
+        """
+        key = (
+            id(report.query),
+            tuple(map(id, conditions)),
+            self.catalog.uid,
+            self.catalog.ddl_version,
+        )
+        kept = self._rewrites.get(key)
+        if kept is None:
+            kept = (report.query, tuple(conditions), self._rewrite(report, conditions))
+            self._rewrites.put(key, kept)
+        return kept[2]
+
+    def _rewrite(self, report: ReportDefinition, conditions: list) -> tuple:
         query = report.query
         needed: set[str] = set()
         for condition in conditions:
@@ -259,7 +286,7 @@ class ReportLevelEnforcer:
         for condition in conditions:
             if condition.action == "suppress_row" and prefilter:
                 query = query.filter(condition.condition)
-        return query, hidden
+        return query, tuple(hidden)
 
     def _apply_row_conditions(
         self, table: Table, conditions: list
@@ -392,7 +419,7 @@ class ReportLevelEnforcer:
         )
 
     @staticmethod
-    def _project_away(table: Table, hidden: list[str]) -> Table:
+    def _project_away(table: Table, hidden: tuple[str, ...]) -> Table:
         from repro.relational import algebra
 
         keep = [c for c in table.schema.names if c not in hidden]

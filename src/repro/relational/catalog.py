@@ -43,6 +43,9 @@ MAX_VIEW_DEPTH = 32
 
 Pair = tuple[str, str]
 
+#: Most queries whose base tables one DDL generation keeps (state_token).
+_MAX_KEPT_QUERIES = 1024
+
 
 @dataclass(frozen=True)
 class ColumnFlow:
@@ -146,6 +149,9 @@ class Catalog:
         self._mutation_hooks: list[Callable[["Catalog", str], None]] = []
         # (view, nesting depth, ddl_version) → the view's named flows.
         self._view_flows: dict[tuple[str, int, int], tuple] = {}
+        # Query fingerprint → the sorted base tables it reads, for this DDL
+        # generation; read and filled under the lock (see state_token).
+        self._query_bases: dict[str, tuple[str, ...]] = {}
         # Serializes DDL mutations and hook registration against each other.
         # Reentrant because mutation hooks may re-enter the catalog (e.g. to
         # recompute state tokens while invalidating). Concurrent *readers*
@@ -174,6 +180,7 @@ class Catalog:
         # cannot interleave between the version bump and the invalidations.
         self.ddl_version += 1
         self._view_flows.clear()
+        self._query_bases.clear()
         for hook in tuple(self._mutation_hooks):
             hook(self, name)
 
@@ -362,10 +369,10 @@ class Catalog:
 
     def _output_names(self, source: str | Query, depth: int) -> tuple[str, ...]:
         if isinstance(source, str):
-            if source in self._tables:
-                return self._tables[source].schema.names
             if depth > MAX_VIEW_DEPTH:
                 raise CatalogError(f"view nesting deeper than {MAX_VIEW_DEPTH}; cycle?")
+            if source in self._tables:
+                return self._tables[source].schema.names
             return self._output_names(self.view(source).query, depth + 1)
         names = source.output_names()
         if names is not None:
@@ -400,13 +407,15 @@ class Catalog:
         return columns, sides
 
     def _relation(self, name: str, depth: int) -> tuple[tuple[str, ColumnFlow], ...]:
+        # Before the lookup, as the engine checks it: a base table resolved
+        # below the deepest view is refused too.
+        if depth > MAX_VIEW_DEPTH:
+            raise CatalogError(f"view nesting deeper than {MAX_VIEW_DEPTH}; cycle?")
         if name in self._tables:
             return tuple(
                 (c, ColumnFlow(copied=frozenset([(name, c)])))
                 for c in self._tables[name].schema.names
             )
-        if depth > MAX_VIEW_DEPTH:
-            raise CatalogError(f"view nesting deeper than {MAX_VIEW_DEPTH}; cycle?")
         # Keyed by depth, so a hit stands for a walk that kept within the
         # nesting limit from here; by DDL generation, so a walk that a
         # mutation overtook fills an entry no later lookup reads.
@@ -472,12 +481,21 @@ class Catalog:
         same catalog state, which is what makes result caching sound.
 
         Taken under the catalog lock so a token is never computed halfway
-        through another thread's DDL mutation.
+        through another thread's DDL mutation. Which base tables a query
+        reads is DDL alone: it is kept per query fingerprint until the next
+        DDL mutation, so a repeated query reads only each table's versions.
         """
         with self._lock:
+            fingerprint = query.fingerprint()
+            bases = self._query_bases.get(fingerprint)
+            if bases is None:
+                bases = tuple(sorted(self.base_relations_of_query(query)))
+                if len(self._query_bases) >= _MAX_KEPT_QUERIES:
+                    self._query_bases.clear()
+                self._query_bases[fingerprint] = bases
             parts = tuple(
                 (name, self._tables[name].data_version, len(self._tables[name].rows))
-                for name in sorted(self.base_relations_of_query(query))
+                for name in bases
             )
             return (self.uid, self.ddl_version, parts)
 

@@ -279,9 +279,9 @@ def _insert_rows(scenario: "Scenario", seed: int) -> str:
 def _revise_pla(scenario: "Scenario", seed: int) -> str:
     """Re-elicit one meta-report's PLA with a shifted aggregation floor.
 
-    Revise → approve → attach: the meta-report set's fingerprint (PLA
-    version + annotations) changes, so every cached compliance verdict
-    keys out.
+    Revise → approve → attach: the meta-report now holds another PLA
+    object, which moves the checker's meta-report set generation, so every
+    cached compliance verdict keys out.
     """
     metas = list(scenario.metareports)
     meta = metas[seed % len(metas)]

@@ -7,11 +7,17 @@ PLA revision/approval, report redefinition, meta-report extension — must
 yield a fresh computation, never a stale verdict.
 
 * plan cache (``repro.relational.plancache``): query-fingerprint ×
-  catalog-state keyed result snapshots;
+  catalog-state keyed result snapshots; the state token keeps each query's
+  base tables per DDL generation;
 * containment proof caches (``repro.core.containment``): derivability and
   homomorphism proofs, pure in the catalog's *definitions*;
 * compliance verdict cache (``repro.core.compliance``): memoized
-  :class:`ComplianceVerdict`, keyed by report/metaset fingerprints.
+  :class:`ComplianceVerdict`, keyed by the report's fingerprint and the
+  meta-report set's generation.
+
+The enforcer's kept intensional rewrite rides on the same versions, and a
+differential test checks every memo of the warm delivery path against
+deliveries that use none.
 """
 
 from __future__ import annotations
@@ -22,10 +28,13 @@ from repro.core import (
     PLA,
     AggregationThreshold,
     ComplianceChecker,
+    IntensionalCondition,
     MetaReport,
     MetaReportSet,
     NotConjunctive,
     PlaLevel,
+    PlaRegistry,
+    ReportLevelEnforcer,
     check_derivability,
     clear_proof_caches,
     is_contained,
@@ -42,9 +51,11 @@ from repro.relational import (
     execute_row,
     get_default_config,
     make_schema,
+    parse_expression,
     parse_query,
     set_default_config,
 )
+from repro.policy import SubjectRegistry
 from repro.relational.types import ColumnType
 from repro.reports import ReportDefinition
 
@@ -165,6 +176,31 @@ class TestPlanCache:
             tokens.add(cat.state_token(q)[0])
             del cat
         assert len(tokens) == 50
+
+    def test_state_token_follows_a_replaced_view_in_the_chain(self):
+        cat = patient_catalog()
+        clinics = make_schema(("region", ColumnType.STRING))
+        cat.add_table(Table.from_rows("clinics", clinics, [("north",)], provider="hosp"))
+        cat.add_view(View("v1", parse_query("SELECT region FROM visits")))
+        cat.add_view(View("v2", parse_query("SELECT region FROM v1")))
+        q = parse_query("SELECT region FROM v2")
+        before = cat.state_token(q)
+        assert cat.state_token(q) == before
+        assert [name for name, _, _ in before[2]] == ["visits"]
+        cat.add_view(View("v1", parse_query("SELECT region FROM clinics")), replace=True)
+        after = cat.state_token(q)
+        assert after[1] > before[1]
+        assert [name for name, _, _ in after[2]] == ["clinics"]
+
+    def test_state_token_reads_each_tables_versions_on_every_call(self):
+        cat = patient_catalog()
+        q = parse_query("SELECT region FROM visits")
+        before = cat.state_token(q)
+        cat.table("visits").insert(("Eve", "north", "flu", 99))
+        after = cat.state_token(q)
+        assert after[:2] == before[:2]  # no DDL: the kept base tables hold
+        (name, version, rows), = after[2]
+        assert (name, rows) == ("visits", 5) and version > before[2][0][1]
 
     def test_same_shape_catalogs_do_not_share_entries(self):
         cache, cfg = self.make_cfg()
@@ -375,6 +411,43 @@ class TestVerdictCache:
         verdict = checker.check_report(bad)
         assert verdict.compliant and verdict.covering_metareport == "mr_all"
 
+    def test_extension_in_place_invalidates(self):
+        """``MetaReportSet.extend`` replaces the meta-report's query and PLA
+        on the same meta-report object; the verdict follows both."""
+        cat = patient_catalog()
+        checker, meta = _checker(cat)
+        registry = PlaRegistry()
+        registry.add(meta.pla)
+        report = _report("SELECT patient, COUNT(*) AS n FROM visits GROUP BY patient")
+        assert checker.check_report(report).covering_metareport is None
+        checker.metareports.extend(
+            "mr_visits", ["patient"], universe_columns=cat.output_names("visits"),
+            catalog=cat, registry=registry,
+        )
+        # The extension's PLA is a draft until the owner approves it.
+        drafted = checker.check_report(report)
+        assert not drafted.compliant and drafted.covering_metareport is None
+        meta.attach_pla(registry.approve(meta.pla.name))
+        extended = checker.check_report(report)
+        assert extended.compliant and extended.covering_metareport == "mr_visits"
+        assert checker.cache_stats()["hits"] == 0
+
+    def test_reassigned_query_invalidates(self):
+        """Replacing a meta-report's query on the object, with no catalog DDL
+        and no PLA change, changes the verdict."""
+        cat = patient_catalog()
+        checker, meta = _checker(cat)
+        report = _report(self.SQL)
+        assert checker.check_report(report).compliant
+        ddl_version = cat.ddl_version
+        meta.query = Query.from_("visits").project("disease")
+        verdict = checker.check_report(report)
+        assert cat.ddl_version == ddl_version
+        assert not verdict.compliant and verdict.covering_metareport is None
+        meta.query = Query.from_("visits").project("region", "disease", "cost")
+        assert checker.check_report(report).compliant
+        assert checker.cache_stats()["hits"] == 0
+
     def test_catalog_ddl_invalidates_verdicts(self):
         cat = patient_catalog()
         checker, _ = _checker(cat)
@@ -391,6 +464,283 @@ class TestVerdictCache:
         assert checker.invalidate_cache() == 1
         checker.check_report(report)
         assert checker.cache_stats()["misses"] == 2
+
+
+# ---------------------------------------------------------------------------
+# Enforcement rewrite: kept per query, conditions and DDL generation
+# ---------------------------------------------------------------------------
+
+
+def _exams() -> tuple[Catalog, ComplianceChecker, MetaReport, PlaRegistry]:
+    """A meta-report ``mr`` that hides ``disease``, which its PLA's
+    suppress_row condition reads: reports over it run on the enforcer's
+    rewrite, through ``mr__plaext``."""
+    cat = Catalog()
+    schema = make_schema(
+        ("patient", ColumnType.STRING),
+        ("result", ColumnType.STRING),
+        ("disease", ColumnType.STRING),
+    )
+    rows = [
+        ("Alice", "positive", "HIV"),
+        ("Bob", "normal", "asthma"),
+        ("Cara", "positive", "flu"),
+        ("Dan", "positive", "flu"),
+    ]
+    cat.add_table(Table.from_rows("exams", schema, rows, provider="lab"))
+    registry = PlaRegistry()
+    registry.add(
+        PLA(
+            "p", "lab", PlaLevel.METAREPORT, "mr",
+            (
+                IntensionalCondition(
+                    "disease", parse_expression("disease != 'HIV'"), "suppress_row"
+                ),
+            ),
+        )
+    )
+    meta = MetaReport("mr", parse_query("SELECT patient, result FROM exams"))
+    meta.attach_pla(registry.approve("p"))
+    metaset = MetaReportSet()
+    metaset.add(meta)
+    metaset.register_views(cat)
+    return cat, ComplianceChecker(catalog=cat, metareports=metaset), meta, registry
+
+
+def _context():
+    subjects = SubjectRegistry()
+    subjects.purposes.declare("care")
+    subjects.add_role("analyst")
+    subjects.add_user("ann", "analyst")
+    return subjects.context("ann", "care")
+
+
+class TestRewriteMemo:
+    SQL = "SELECT result, COUNT(*) AS n FROM mr GROUP BY result"
+
+    @staticmethod
+    def deliver(enforcer, checker, report) -> dict:
+        verdict = checker.check_report(report)
+        assert verdict.compliant
+        instance = enforcer.generate(report, _context(), verdict)
+        fresh = ReportLevelEnforcer(catalog=enforcer.catalog).generate(
+            report, _context(), verdict
+        )
+        assert fresh.table.rows == instance.table.rows
+        return dict(instance.table.rows)
+
+    @staticmethod
+    def rewritten(enforcer, checker, report):
+        verdict = checker.check_report(report)
+        conditions = [
+            o.annotation for o in verdict.obligations if o.kind == "intensional"
+        ]
+        return enforcer._rewrite_for_intensional(report, conditions)[0]
+
+    def test_a_repeated_delivery_runs_the_same_query_object(self):
+        cat, checker, _, _ = _exams()
+        enforcer = ReportLevelEnforcer(catalog=cat)
+        report = _report(self.SQL)
+        self.deliver(enforcer, checker, report)  # registers mr__plaext
+        first = self.rewritten(enforcer, checker, report)
+        assert first.source == "mr__plaext"
+        assert self.rewritten(enforcer, checker, report) is first
+
+    def test_follows_a_replaced_view_it_extends(self):
+        cat, checker, _, _ = _exams()
+        enforcer = ReportLevelEnforcer(catalog=cat)
+        report = _report(self.SQL)
+        for _ in range(3):
+            assert self.deliver(enforcer, checker, report) == {
+                "normal": 1, "positive": 2,
+            }
+        cat.add_view(
+            View("mr", parse_query(
+                "SELECT patient, result FROM exams WHERE patient != 'Dan'"
+            )),
+            replace=True,
+        )
+        for _ in range(2):
+            assert self.deliver(enforcer, checker, report) == {
+                "normal": 1, "positive": 1,
+            }
+        assert cat.view("mr__plaext").query.where is not None
+
+    def test_follows_a_pla_revision_of_the_condition(self):
+        cat, checker, meta, registry = _exams()
+        enforcer = ReportLevelEnforcer(catalog=cat)
+        report = _report(self.SQL)
+        for _ in range(2):
+            assert self.deliver(enforcer, checker, report) == {
+                "normal": 1, "positive": 2,
+            }
+        registry.revise(
+            "p",
+            (
+                IntensionalCondition(
+                    "disease", parse_expression("disease != 'flu'"), "suppress_row"
+                ),
+            ),
+        )
+        meta.attach_pla(registry.approve("p"))
+        for _ in range(2):
+            assert self.deliver(enforcer, checker, report) == {
+                "normal": 1, "positive": 1,
+            }
+
+
+# ---------------------------------------------------------------------------
+# Every memo of the warm path against a fresh checker and enforcer
+# ---------------------------------------------------------------------------
+
+
+def _fresh_delivery(scenario, definition, user: str, purpose: str):
+    """``definition``'s verdict and delivered payload hash (``None`` when
+    refused), from a checker and enforcer built for this one delivery, with
+    no proof cache and no plan cache, on the row engine."""
+    from repro.anonymize import Pseudonymizer
+    from repro.errors import ComplianceError
+    from repro.service.state import payload_hash
+
+    clear_proof_caches()
+    verdict = ComplianceChecker(
+        catalog=scenario.bi_catalog,
+        metareports=scenario.metareports,
+        source_identity=scenario.checker.source_identity,
+    ).check_report(definition)
+    enforcer = ReportLevelEnforcer(
+        catalog=scenario.bi_catalog,
+        pseudonymizer=Pseudonymizer(salt="trentino-bi"),
+        hierarchies=scenario.enforcer.hierarchies,
+    )
+    previous = set_default_config(ExecutionConfig(mode="row"))
+    try:
+        instance = enforcer.generate(
+            definition, scenario.subjects.context(user, purpose), verdict
+        )
+    except ComplianceError:
+        return verdict, None
+    finally:
+        set_default_config(previous)
+    return verdict, payload_hash(instance)
+
+
+class TestWarmPathDifferential:
+    """Deliveries through long-lived objects, whose verdict cache, meta-report
+    generation, kept rewrites and kept base tables fill as they go, equal
+    what :func:`_fresh_delivery` gives."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_memoized_deliveries_equal_fresh_ones(self, seed):
+        import random
+
+        from repro.errors import ComplianceError
+        from repro.service.loadgen import ROLE_TO_USER
+        from repro.service.state import (
+            MUTATION_KINDS,
+            MutationSpec,
+            apply_mutation_to,
+            payload_hash,
+        )
+        from repro.simulation import build_scenario
+
+        rng = random.Random(seed)
+        scenario = build_scenario()
+        service = scenario.delivery_service()
+        service.resilience = None
+        mutations = delivered = refused = 0
+        for step in range(90):
+            if rng.random() < 0.2:
+                kind = MUTATION_KINDS[mutations % len(MUTATION_KINDS)]
+                apply_mutation_to(scenario, MutationSpec(kind, seed=step))
+                mutations += 1
+                continue
+            definition = rng.choice(scenario.report_catalog.all_current())
+            user = ROLE_TO_USER[rng.choice(sorted(ROLE_TO_USER))]
+            purpose = definition.purpose
+            verdict = scenario.checker.check_report(definition)
+            try:
+                instance = service.deliver(definition.name, user=user, purpose=purpose)
+                got = payload_hash(instance)
+            except ComplianceError:
+                got = None
+            want = _fresh_delivery(scenario, definition, user, purpose)
+            assert (verdict, got) == want, (step, definition.name, user)
+            delivered += got is not None
+            refused += got is None
+        assert mutations >= 3 * len(MUTATION_KINDS)
+        assert delivered and refused
+
+    def test_concurrent_fills_agree_with_fresh_deliveries(self):
+        """More workers than cores fill one checker's and one enforcer's
+        memos at once, with a short switch interval."""
+        import random
+        import sys
+        import threading
+
+        from repro.errors import ComplianceError
+        from repro.service.loadgen import ROLE_TO_USER
+        from repro.service.state import payload_hash
+        from repro.simulation import build_scenario
+
+        scenario = build_scenario()
+        requests = [
+            (definition, ROLE_TO_USER[role], definition.purpose)
+            for definition in scenario.report_catalog.all_current()
+            for role in (
+                sorted(definition.audience)[0],
+                sorted(set(ROLE_TO_USER) - definition.audience)[0],
+            )
+        ]
+        want = {
+            (d.name, user): _fresh_delivery(scenario, d, user, purpose)
+            for d, user, purpose in requests
+        }
+        checker = ComplianceChecker(
+            catalog=scenario.bi_catalog,
+            metareports=scenario.metareports,
+            source_identity=scenario.checker.source_identity,
+        )
+        enforcer = ReportLevelEnforcer(
+            catalog=scenario.bi_catalog,
+            pseudonymizer=scenario.enforcer.pseudonymizer,
+            hierarchies=scenario.enforcer.hierarchies,
+        )
+        mismatches: list = []
+        start = threading.Barrier(4)
+
+        def worker(seed: int) -> None:
+            order = requests * 3
+            random.Random(seed).shuffle(order)
+            start.wait(timeout=10)
+            for definition, user, purpose in order:
+                verdict = checker.check_report(definition)
+                try:
+                    got = payload_hash(
+                        enforcer.generate(
+                            definition, scenario.subjects.context(user, purpose), verdict
+                        )
+                    )
+                except ComplianceError:
+                    got = None
+                if (verdict, got) != want[definition.name, user]:
+                    mismatches.append((definition.name, user))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        # Every worker saw the same meta-report set: one generation, taken
+        # once, however many workers found the memo empty at the same time.
+        assert checker._metaset_memo[1] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -287,13 +287,33 @@ class TestSources:
         )
 
     def test_a_kept_view_walk_still_meets_the_nesting_limit(self, cat):
-        previous = "t"
-        for i in range(MAX_VIEW_DEPTH + 2):
-            cat.add_view(View(f"d{i}", Query.from_(previous)))
-            previous = f"d{i}"
-        # d{MAX} is as deep as a walk may go; walking it keeps every link's
-        # flows, at the depth each was walked from.
-        assert flows(cat, f"d{MAX_VIEW_DEPTH}") == flows(cat, "t")
+        chain(cat, MAX_VIEW_DEPTH + 2)
+        # d{MAX - 1} is as deep as a walk may go (its base table is the last
+        # level); walking it keeps every link's flows, at the depth each was
+        # walked from.
+        assert flows(cat, f"d{MAX_VIEW_DEPTH - 1}") == flows(cat, "t")
         for _ in range(2):
             with pytest.raises(CatalogError, match="nesting"):
-                cat.sources(f"d{MAX_VIEW_DEPTH + 1}")
+                cat.sources(f"d{MAX_VIEW_DEPTH}")
+
+    @pytest.mark.parametrize("config", [ROW, COLUMNAR], ids=["row", "columnar"])
+    def test_the_nesting_limit_is_the_engines(self, cat, config):
+        chain(cat, MAX_VIEW_DEPTH + 2)
+        deepest, refused = f"d{MAX_VIEW_DEPTH - 1}", f"d{MAX_VIEW_DEPTH}"
+        executed = execute(Query.from_(deepest), cat, config=config)
+        assert flows(cat, deepest) == flows(cat, "t")
+        assert cat.output_names(deepest) == executed.schema.names
+        with pytest.raises(QueryError, match="nesting"):
+            execute(Query.from_(refused), cat, config=config)
+        for answer in (cat.sources, cat.output_names):
+            with pytest.raises(CatalogError, match="nesting"):
+                answer(refused)
+
+
+def chain(cat: Catalog, length: int) -> None:
+    """Views ``d0 → … → d{length - 1}``, each ``SELECT *`` of the one before,
+    over table ``t``."""
+    previous = "t"
+    for i in range(length):
+        cat.add_view(View(f"d{i}", Query.from_(previous)))
+        previous = f"d{i}"
