@@ -177,10 +177,11 @@ class IntensionalCondition(Annotation):
 
     ``condition`` may reference columns that are *not* displayed — "HIV can
     be a separate column in the same report that is used only for purposes
-    of defining PLAs, even if it is not made visible to users". The
-    enforcement translator pulls such hidden columns into the query,
-    evaluates the condition per row, applies ``action``, and projects the
-    hidden columns away again.
+    of defining PLAs, even if it is not made visible to users". For
+    ``suppress_row`` the enforcement translator traces the condition to the
+    base table it restricts and filters that table before the query reads
+    it; for ``suppress_cell`` it pulls the hidden columns into the query,
+    blanks the attribute per row, and projects them away again.
 
     ``action`` is ``"suppress_cell"`` (blank the attribute) or
     ``"suppress_row"`` (drop the row).

@@ -413,6 +413,10 @@ class ComplianceChecker:
                 target = "a UNION report that reads the attribute"
             elif cell and report.query.is_aggregate and annotation.attribute in outputs:
                 target = "an aggregate report"
+            elif cell and report.query.select_distinct and annotation.attribute in outputs:
+                # Cells are blanked after DISTINCT: rows that differ only in
+                # a blanked cell come back as duplicates, counting its values.
+                target = "a DISTINCT report"
             elif (
                 cell
                 and annotation.attribute in used

@@ -6,8 +6,8 @@ used for automated privacy management support at design time or runtime."
 Three translations live here:
 
 * :class:`ReportLevelEnforcer` — runs a report under its compliance verdict,
-  discharging runtime obligations: aggregation thresholds (lineage-counted),
-  intensional conditions (with hidden-column support), anonymization.
+  discharging runtime obligations: row conditions as base-table guards, cell
+  conditions (hidden-column support), lineage-counted thresholds, anonymization.
 * :func:`to_etl_registry` — projects join/integration annotations into an
   :class:`~repro.etl.annotations.EtlPlaRegistry` so ETL flows enforce them.
 * :func:`to_vpd_policy` — projects source-level PLAs into VPD rules.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.cache import LRUCache
-from repro.errors import ComplianceError, EnforcementError
+from repro.errors import CatalogError, ComplianceError, EnforcementError
 from repro.anonymize.generalization import Hierarchy
 from repro.anonymize.pseudonym import Pseudonymizer
 from repro.core.annotations import (
@@ -69,8 +69,8 @@ class ReportLevelEnforcer:
         """Run ``report`` under ``verdict``; non-compliant verdicts raise.
 
         When observability is on the run emits a ``report.enforce`` span and
-        counts report-level enforcement decisions: allow/deny, rows
-        suppressed by obligations, cells anonymized.
+        counts report-level enforcement decisions: allow/deny, groups
+        suppressed by aggregation thresholds, cells anonymized.
         """
         if not TRACER.active():
             return self._generate(report, context, verdict)
@@ -90,7 +90,7 @@ class ReportLevelEnforcer:
             instrument.record_decision(
                 level,
                 "suppress_row",
-                "obligation",
+                "aggregation_threshold",
                 count=instance.suppressed_rows,
             )
             for obligation in verdict.obligations:
@@ -149,15 +149,12 @@ class ReportLevelEnforcer:
             o.annotation for o in verdict.obligations if o.kind == "anonymize"
         ]
 
-        query, hidden = self._rewrite_for_intensional(report, intensional)
-        table = execute(query, self.catalog, name=report.name)
-        suppressed = 0
-
-        table, dropped = self._apply_row_conditions(table, intensional)
-        suppressed += dropped
+        query, hidden, guards = self._rewrite_for_intensional(
+            report, intensional, verdict.covering_metareport
+        )
+        table = execute(query, self.catalog.guarded(guards), name=report.name)
         table = self._blank_cells(table, intensional)
-        table, dropped = self._apply_thresholds(table, thresholds)
-        suppressed += dropped
+        table, suppressed = self._apply_thresholds(table, thresholds)
         table = self._apply_anonymization(table, anonymize)
         if hidden:
             table = self._project_away(table, hidden)
@@ -172,7 +169,7 @@ class ReportLevelEnforcer:
     # -- obligation mechanics ------------------------------------------------
 
     def _ensure_columns_available(self, query, columns: set[str]):
-        """Make hidden condition columns reachable from the query's source.
+        """Make suppress_cell condition columns reachable from the source.
 
         A report may be authored over a meta-report view that projects the
         condition column away (it exists only "for purposes of defining
@@ -218,95 +215,71 @@ class ReportLevelEnforcer:
         self,
         report: ReportDefinition,
         conditions: list,
+        metareport: str | None,
     ) -> tuple:
-        """Pull hidden condition columns into the query (§5's hidden-HIV
-        trick): the query to run and the columns to project away after.
+        """The query to run, the hidden columns to project away after, and
+        the row guards to run it under.
 
-        Kept per report query, conditions and catalog DDL generation, so
-        repeated deliveries run one query object, whose fingerprint is
-        memoized. The key holds the query's and conditions' ids; the entry
-        keeps references to them, so no other object can take those ids
-        while it lives. The DDL version is read before the rewrite, which
-        may register a view itself.
+        Kept per report query, conditions, covering meta-report and catalog
+        DDL generation, so repeated deliveries run one query object under
+        one guard set. The key holds the query's and conditions' ids; the
+        entry keeps references to them, so no other object can take those
+        ids while it lives. The DDL version is read before the rewrite,
+        which may register a view itself.
         """
         key = (
             id(report.query),
             tuple(map(id, conditions)),
+            metareport,
             self.catalog.uid,
             self.catalog.ddl_version,
         )
         kept = self._rewrites.get(key)
         if kept is None:
-            kept = (report.query, tuple(conditions), self._rewrite(report, conditions))
+            rewrite = self._rewrite(report, conditions, metareport)
+            kept = (report.query, tuple(conditions), rewrite)
             self._rewrites.put(key, kept)
         return kept[2]
 
-    def _rewrite(self, report: ReportDefinition, conditions: list) -> tuple:
+    def _rewrite(
+        self, report: ReportDefinition, conditions: list, metareport: str | None
+    ) -> tuple:
+        # suppress_row conditions are over the covering meta-report's columns
+        # (the report's when none covers it) and guard the base tables.
+        covered = metareport is not None and self.catalog.is_view(metareport)
+        over = self.catalog.view(metareport).query if covered else report.query
+        rows = [(c.condition, over) for c in conditions if c.action == "suppress_row"]
+        try:
+            guards = self.catalog.row_guards(rows, report.query)
+        except CatalogError as exc:
+            raise EnforcementError(
+                f"cannot enforce suppress_row on report {report.name!r}: {exc}"
+            ) from None
+        cells = [c for c in conditions if c.action == "suppress_cell"]
         query = report.query
-        needed: set[str] = set()
-        for condition in conditions:
-            needed |= set(condition.condition.columns())
+        needed = {column for c in cells for column in c.condition.columns()}
         if needed:
             query = self._ensure_columns_available(query, needed)
-        if needed and query.set_ops:
-            # Every UNION branch gets the pre-filter below, so each one
-            # must reach the hidden columns too.
-            query = replace(
-                query,
-                set_ops=tuple(
-                    replace(c, query=self._ensure_columns_available(c.query, needed))
-                    for c in query.set_ops
-                ),
-            )
         outputs = set(self.catalog.output_names(report.query))
-        # Aggregates and UNIONs take suppress_row as a WHERE pre-filter:
-        # grouping hides the condition's columns, and a UNION's output
-        # column can hold another branch's attribute under the same name.
-        prefilter = query.is_aggregate or bool(query.set_ops)
         hidden: list[str] = []
-        for condition in conditions:
+        for condition in cells:
             assert isinstance(condition, IntensionalCondition)
             for column in sorted(condition.hidden_columns(outputs)):
                 if column in hidden:
                     continue
-                if prefilter:
-                    if condition.action == "suppress_row":
-                        continue
+                if query.is_aggregate or query.set_ops:
                     raise EnforcementError(
-                        "cell-level intensional condition with hidden "
-                        "columns cannot attach to an aggregate or UNION report"
+                        f"[{condition.describe()}] with hidden columns cannot "
+                        "attach to an aggregate or UNION report"
                     )
                 if not query.select:
                     raise EnforcementError(
-                        f"report {report.name!r} must have an explicit "
-                        "SELECT list for hidden-column enforcement"
+                        f"[{condition.describe()}]: report {report.name!r} must "
+                        "have an explicit SELECT list for hidden-column enforcement"
                     )
                 query = query.project(*query.select, column)
                 hidden.append(column)
-        for condition in conditions:
-            if condition.action == "suppress_row" and prefilter:
-                query = query.filter(condition.condition)
-        return query, tuple(hidden)
-
-    def _apply_row_conditions(
-        self, table: Table, conditions: list
-    ) -> tuple[Table, int]:
-        """Drop rows failing suppress_row conditions (non-aggregate path)."""
-        row_conditions = [
-            c
-            for c in conditions
-            if c.action == "suppress_row"
-            and c.condition.columns() <= set(table.schema.names)
-        ]
-        if not row_conditions:
-            return table, 0
-        keep = [
-            i
-            for i in range(len(table))
-            if all(c.condition.evaluate(table.row_dict(i)) for c in row_conditions)
-        ]
-        dropped = len(table) - len(keep)
-        return table.take(keep), dropped
+        return query, tuple(hidden), guards
 
     def _blank_cells(self, table: Table, conditions: list) -> Table:
         """Blank cells failing suppress_cell conditions."""

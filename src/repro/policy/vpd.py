@@ -4,8 +4,8 @@ The paper's §3 lists "automatic query rewriting techniques, such as those
 found in commercial databases like Oracle Virtual Private Database (VPD) or
 in the Hippocratic Database" as source-level enforcement mechanisms. This
 module implements that mechanism over our engine: per-relation row-level
-predicates (possibly context-dependent) and column masks are injected into
-every query before execution.
+predicates (possibly context-dependent) guard the relation wherever it is
+read, and column masks are injected into every query before execution.
 
 Masks follow the engine's naming (:meth:`Catalog.scope`): a bare ``SELECT *``
 is expanded to its whole FROM scope, joined relations included, and a mask
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.errors import PolicyError, QueryError
+from repro.errors import CatalogError, PolicyError, QueryError
 from repro.policy.subjects import AccessContext
 from repro.relational.catalog import Catalog
 from repro.relational.engine import execute
@@ -83,15 +83,9 @@ class VPDPolicy:
         return rule
 
     def rewrite(self, query: Query, catalog: Catalog, context: AccessContext) -> Query:
-        """Inject predicates/masks for every *base* relation the query touches.
-
-        Predicates attach at the outer WHERE (sound for inner joins and for
-        non-null-extended relations; rules over any null-extended side of an
-        outer join — the right side of LEFT, the accumulated left side of
-        RIGHT, both sides of FULL — are rejected rather than silently
-        weakened). A UNION is rewritten block by block, each under the
-        rules of the relations it reads.
-        """
+        """Inject the column masks of every *base* relation the query
+        touches; a UNION is rewritten block by block. Row predicates guard
+        the relation itself (:meth:`run`)."""
         if query.set_ops:
             return replace(
                 self.rewrite(query.blocks()[0], catalog, context),
@@ -101,28 +95,13 @@ class VPDPolicy:
                 ),
             )
         rewritten = query
-        for position, relation in enumerate(query.referenced_relations()):
-            bases = catalog.base_relations(relation)
-            for base in sorted(bases):
+        for relation in query.referenced_relations():
+            for base in sorted(catalog.base_relations(relation)):
                 rule = self.rules.get(base)
-                if rule is None:
-                    continue
-                null_extended = (
-                    position > 0 and query.joins[position - 1].how in ("left", "full")
-                ) or any(
-                    clause.how in ("right", "full") for clause in query.joins[position:]
-                )
-                if null_extended:
-                    raise QueryError(
-                        f"VPD rule on {base!r} cannot be enforced on the "
-                        "null-extended side of an outer join; rewrite the query"
+                if rule is not None:
+                    rewritten = self._apply_masks(
+                        rewritten, rule.masks_for(context), catalog, relation, base
                     )
-                predicate = rule.predicate_for(context)
-                if predicate is not None:
-                    rewritten = rewritten.filter(predicate)
-                rewritten = self._apply_masks(
-                    rewritten, rule.masks_for(context), catalog, relation, base
-                )
         return rewritten
 
     def _apply_masks(
@@ -177,5 +156,18 @@ class VPDPolicy:
         *,
         name: str | None = None,
     ) -> Table:
-        """Rewrite then execute — the VPD enforcement point."""
-        return execute(self.rewrite(query, catalog, context), catalog, name=name)
+        """Mask, then execute with each rule's predicate guarding its base
+        relation wherever the query reads it — the VPD enforcement point. A
+        predicate over an unknown column, or a guarded relation read on the
+        null-extended side of an outer join, raises :class:`QueryError`."""
+        conditions = []
+        for base in sorted(catalog.base_relations_of_query(query)):
+            rule = self.rules.get(base)
+            predicate = rule.predicate_for(context) if rule is not None else None
+            if predicate is not None:
+                conditions.append((predicate, Query.from_(base)))
+        try:
+            guarded = catalog.guarded(catalog.row_guards(conditions, query))
+        except CatalogError as exc:
+            raise QueryError(f"VPD rule cannot be enforced: {exc}") from None
+        return execute(self.rewrite(query, catalog, context), guarded, name=name)

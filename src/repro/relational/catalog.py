@@ -19,6 +19,9 @@ An unknown column or a ragged UNION raises :class:`CatalogError`, as the
 engine would refuse the query. Every privacy decision and ``repro lint``
 read these flows; the static flows over-approximate the runtime
 where-provenance of every output cell (checked by property tests).
+
+A row obligation at any level is a predicate over one base table that
+filters every read of it (:meth:`Catalog.row_guards`, :meth:`Catalog.guarded`).
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Iterable, Mapping
 
+from repro.cache import LRUCache
 from repro.errors import CatalogError
 from repro.relational.expressions import Col, Expr
 from repro.relational.query import Query
@@ -152,6 +157,8 @@ class Catalog:
         # Query fingerprint → the sorted base tables it reads, for this DDL
         # generation; read and filled under the lock (see state_token).
         self._query_bases: dict[str, tuple[str, ...]] = {}
+        # Guard set → its guarded catalog, for this DDL generation (guarded).
+        self._guarded = LRUCache(maxsize=64)
         # Serializes DDL mutations and hook registration against each other.
         # Reentrant because mutation hooks may re-enter the catalog (e.g. to
         # recompute state tokens while invalidating). Concurrent *readers*
@@ -181,6 +188,7 @@ class Catalog:
         self.ddl_version += 1
         self._view_flows.clear()
         self._query_bases.clear()
+        self._guarded.clear()
         for hook in tuple(self._mutation_hooks):
             hook(self, name)
 
@@ -498,6 +506,86 @@ class Catalog:
                 for name in bases
             )
             return (self.uid, self.ddl_version, parts)
+
+
+    # -- row guards -----------------------------------------------------------
+
+    def restate(self, condition: Expr, over: Query) -> tuple[str, Expr]:
+        """``condition``, over the columns ``over`` shows or the FROM-scope
+        columns it hides (§5's hidden-column device), as a predicate over the
+        one base table they are copied from; anything else raises
+        :class:`CatalogError`."""
+        shown = dict(self._flows(over, 0))
+        scopes = [self._block(block, 0).joined for block in over.blocks()]
+        copies: dict[str, Pair] = {}
+        for name in condition.columns():
+            flow = shown.get(name)
+            if flow is None:
+                flow = reduce(ColumnFlow.merged, [scope[name] for scope in scopes])
+            if flow.derived or flow.aggregated or len(flow.copied) != 1:
+                raise CatalogError(f"({condition}): {name!r} is not a base column copy")
+            (copies[name],) = flow.copied
+        tables = {table for table, _ in copies.values()}
+        if len(tables) != 1:
+            raise CatalogError(f"({condition}) reads {len(tables)} base tables")
+        renames = {name: column for name, (_, column) in copies.items()}
+        return tables.pop(), condition.substitute(renames)
+
+    def row_guards(
+        self, conditions: Iterable[tuple[Expr, Query]], query: Query
+    ) -> dict[str, Expr]:
+        """Each ``(condition, over)`` pair restated, AND-ed per base table:
+        the guards :meth:`guarded` runs ``query`` under. A guarded table read
+        on the null-extended side of an outer join anywhere below ``query``
+        raises :class:`CatalogError`: its filtered rows would show as NULLs."""
+        guards: dict[str, Expr] = {}
+        for condition, over in conditions:
+            table, predicate = self.restate(condition, over)
+            guards[table] = guards[table] & predicate if table in guards else predicate
+        seen: set[str] = set()
+        frontier = [query]
+        while frontier:
+            for block in frontier.pop().blocks():
+                joins = block.joins
+                for i, name in enumerate((block.source, *(c.table for c in joins))):
+                    outer = (i > 0 and joins[i - 1].how in ("left", "full")) or any(
+                        c.how in ("right", "full") for c in joins[i:]
+                    )
+                    hit = sorted(self.base_relations(name) & guards.keys())
+                    if outer and hit:
+                        raise CatalogError(
+                            f"{hit[0]!r} is guarded and read on the null-extended "
+                            "side of an outer join"
+                        )
+                    if name in self._views and name not in seen:
+                        seen.add(name)
+                        frontier.append(self._views[name].query)
+        return guards
+
+    def guarded(self, guards: Mapping[str, Expr]) -> "Catalog":
+        """This catalog, except that each base table in ``guards`` holds only
+        the rows its predicate is true on (UNKNOWN drops a row, as WHERE
+        does), with their own :class:`RowId` s. Kept per guard set until DDL
+        runs; a guarded table whose data changed is filtered again in
+        place, so the guarded catalog keeps its uid and plan-cache hook."""
+        if not guards:
+            return self
+        key = tuple(sorted((table, str(p)) for table, p in guards.items()))
+        with self._lock:
+            kept = self._guarded.get(key)
+            if kept is None:
+                kept = Catalog()
+                kept._tables, kept._views = dict(self._tables), dict(self._views)
+                self._guarded.put(key, kept)
+            for name, predicate in guards.items():
+                base, held = self._tables[name], kept._tables[name]
+                if held is base or held.data_version != base.data_version:
+                    env = {c: base.column_values(c) for c in predicate.columns()}
+                    flags = predicate.evaluate_batch(env, len(base.rows))
+                    held = base.take(itertools.compress(range(len(flags)), flags))
+                    held.data_version = base.data_version
+                    kept._tables[name] = held
+            return kept
 
 
 def _computed(expr: Expr, scope: Mapping[str, ColumnFlow]) -> ColumnFlow:

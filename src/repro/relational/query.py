@@ -131,9 +131,8 @@ class Query:
 
         On a set-operation query the predicate is pushed into *every*
         branch as well as the head: selection distributes over union
-        (``σp(A ∪ B) = σp(A) ∪ σp(B)``), and enforcement layers (VPD,
-        report-level row suppression) rely on ``filter`` narrowing the
-        whole result, never just the first branch.
+        (``σp(A ∪ B) = σp(A) ∪ σp(B)``), so ``filter`` narrows the whole
+        result, never just the first branch.
         """
         combined = predicate if self.where is None else And(self.where, predicate)
         set_ops = tuple(

@@ -79,7 +79,7 @@ class ReportInstance:
     definition: ReportDefinition
     table: Table
     consumer: str  # user name of the information consumer
-    suppressed_rows: int = 0  # rows removed by enforcement before delivery
+    suppressed_rows: int = 0  # removed after the query ran: thresholds, degradation
     obligations_applied: tuple[str, ...] = ()  # runtime enforcements discharged
     degraded: bool = False
     degraded_sources: tuple[str, ...] = ()  # provider/table identities dropped

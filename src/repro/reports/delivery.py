@@ -23,7 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro.errors import ComplianceError, ReportNotFoundError, SourceUnavailableError
+from repro.errors import (
+    ComplianceError,
+    EnforcementError,
+    ReportNotFoundError,
+    SourceUnavailableError,
+)
 from repro.core.compliance import ComplianceChecker
 from repro.core.translation import ReportLevelEnforcer
 from repro.obs import instrument
@@ -124,9 +129,11 @@ class DeliveryService:
             )
         try:
             instance = self.enforcer.generate(definition, context, verdict)
-        except ComplianceError as exc:
+        except (ComplianceError, EnforcementError) as exc:
             self._refuse(report_name, context, str(exc))
-            raise
+            if isinstance(exc, ComplianceError):
+                raise
+            raise ComplianceError(f"report {report_name!r} refused: {exc}") from exc
         if self.resilience is not None:
             instance = self._apply_resilience(report_name, instance, context)
         self.audit_log.record_instance(instance, context)

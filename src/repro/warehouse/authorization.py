@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import PolicyError
+from repro.errors import CatalogError, PolicyError
 from repro.policy.rbac import Decision
 from repro.policy.subjects import AccessContext
+from repro.relational.engine import execute
 from repro.relational.expressions import Expr
+from repro.relational.query import Query
 from repro.relational.table import Table
 from repro.warehouse.cube import Cube, CubeQuery
 
@@ -81,26 +83,26 @@ class CubeAuthorizer:
         """Check, evaluate, and suppress undersized cells.
 
         Returns the published table and the number of suppressed cells.
-        Raises :class:`PolicyError` if the static check fails.
+        Raises :class:`PolicyError` if the static check fails or a denied
+        slice cannot guard the cube.
         """
         decision = self.check(context, cube_query)
         if not decision:
             raise PolicyError(f"cube request denied: {decision.reason}")
         rule = self._rule_for(context)
         assert rule is not None  # check() succeeded
-        # Denied slices are removed *before* aggregation: data from a denied
-        # region must not even contribute to published cells.
-        guarded = cube_query
-        for predicate in rule.denied_slices:
-            from repro.relational.expressions import Not
-
-            guarded = self.cube.slice(guarded, Not(predicate))
-        result = self.cube.evaluate(guarded, name=name)
+        # Denied slices guard the base tables they are read from, so data
+        # from a denied region never even contributes to published cells.
+        catalog = self.cube.catalog
+        wide = Query.from_(self.cube.star.wide_view_name())
+        query = self.cube.compile(cube_query)
+        try:
+            guards = catalog.row_guards([(~p, wide) for p in rule.denied_slices], query)
+        except CatalogError as exc:
+            raise PolicyError(f"a denied slice cannot guard the cube: {exc}") from None
+        result = execute(query, catalog.guarded(guards), name=name)
         # Dynamic pass: contributor thresholds via lineage.
-        keep: list[int] = []
-        for i in range(len(result)):
-            if len(result.lineage_of(i)) < rule.min_cell_contributors:
-                continue
-            keep.append(i)
+        floor = rule.min_cell_contributors
+        keep = [i for i in range(len(result)) if len(result.lineage_of(i)) >= floor]
         suppressed = len(result) - len(keep)
         return result.take(keep, name=name, provider="warehouse"), suppressed

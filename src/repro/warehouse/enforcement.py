@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ComplianceError
+from repro.errors import CatalogError, ComplianceError
 from repro.obs import instrument
 from repro.obs.trace import TRACER
 from repro.policy.subjects import AccessContext
@@ -101,12 +101,13 @@ class WarehouseEnforcer:
     def run(
         self, query: Query, context: AccessContext, *, name: str = "dwh_result"
     ) -> tuple[Table, int]:
-        """Check, execute, apply row rules and aggregation floors.
+        """Check, execute with each ``deny_row`` rule keeping the rows where
+        its condition is FALSE, apply aggregation floors.
 
-        Returns ``(table, suppressed_rows)``. Raises
-        :class:`ComplianceError` when the static gate rejects the query.
-        When observability is on, emits a ``warehouse.enforce`` span and
-        counts warehouse-level enforcement decisions.
+        Returns ``(table, groups the floor removed)``. Raises
+        :class:`ComplianceError` when the gate rejects the query or a rule
+        cannot guard it. When observability is on, emits a
+        ``warehouse.enforce`` span and counts warehouse-level decisions.
         """
         if not TRACER.active():
             return self._run(query, context, name=name)
@@ -122,7 +123,7 @@ class WarehouseEnforcer:
                 raise
             instrument.record_decision(level, "allow")
             instrument.record_decision(
-                level, "suppress_row", "row_rule_or_floor", count=suppressed
+                level, "suppress_row", "aggregation_floor", count=suppressed
             )
             span.set_tag("suppressed_rows", suppressed)
             return table, suppressed
@@ -135,36 +136,23 @@ class WarehouseEnforcer:
             raise ComplianceError(
                 "warehouse metadata rejects the query: " + "; ".join(reasons)
             )
-        result = execute(query, self.catalog, name=name, config=self.config)
-        base_tables = {
-            t
-            for relation in query.referenced_relations()
-            for t in self.catalog.base_relations(relation)
-        }
-        keep: list[int] = []
-        floor = self.metadata.min_aggregation_for(base_tables)
-        names = result.schema.names
-        # Row rules apply only when their condition columns are visible in
-        # the output (aggregates hide them; the aggregation floor is the
-        # protection at that grain).
-        applicable_rules = [
-            rule
+        base_tables = self.catalog.base_relations_of_query(query)
+        rules = [
+            (~rule.condition, Query.from_(rule.table))
             for rule in self.metadata.row_rules
-            if rule.table in base_tables
-            and rule.condition.columns() <= set(names)
+            if rule.metadata.get("deny_row")
+            and rule.table in self.catalog
+            and self.catalog.base_relations(rule.table) & base_tables
         ]
-        for i in range(len(result)):
-            row = dict(zip(names, result.rows[i]))
-            restricted = False
-            for rule in applicable_rules:
-                if rule.covers(row) and rule.metadata.get("deny_row"):
-                    restricted = True
-                    break
-            if restricted:
-                continue
-            if query.is_aggregate and len(result.lineage_of(i)) < floor:
-                continue
-            keep.append(i)
+        try:
+            guarded = self.catalog.guarded(self.catalog.row_guards(rules, query))
+        except CatalogError as exc:
+            raise ComplianceError(f"a row rule cannot guard the query: {exc}") from None
+        result = execute(query, guarded, name=name, config=self.config)
+        if not query.is_aggregate:
+            return result, 0
+        floor = self.metadata.min_aggregation_for(base_tables)
+        keep = [i for i in range(len(result)) if len(result.lineage_of(i)) >= floor]
         suppressed = len(result) - len(keep)
         if not suppressed:
             return result, 0

@@ -9,7 +9,6 @@ enforcement adapter (:mod:`repro.core.levels`) translates them into checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
 
 from repro.errors import PolicyError
 from repro.policy.intensional import IntensionalAssociation
@@ -97,16 +96,6 @@ class PrivacyMetadataRegistry:
                 if t == table and ann.sensitivity in ("sensitive", "identifying")
             )
         )
-
-    def row_restrictions_for(
-        self, table: str, row: Mapping[str, Any]
-    ) -> dict[str, Any]:
-        """Merged metadata of every row rule covering ``row`` of ``table``."""
-        merged: dict[str, Any] = {}
-        for rule in self.row_rules:
-            if rule.table == table and rule.covers(row):
-                merged.update(rule.metadata)
-        return merged
 
     def min_aggregation_for(self, tables: frozenset[str] | set[str]) -> int:
         """Strictest group-size floor over a set of tables (joins compose)."""

@@ -467,14 +467,14 @@ class TestVerdictCache:
 
 
 # ---------------------------------------------------------------------------
-# Enforcement rewrite: kept per query, conditions and DDL generation
+# Enforcement rewrite: kept per query, conditions, meta-report and DDL generation
 # ---------------------------------------------------------------------------
 
 
 def _exams() -> tuple[Catalog, ComplianceChecker, MetaReport, PlaRegistry]:
     """A meta-report ``mr`` that hides ``disease``, which its PLA's
-    suppress_row condition reads: reports over it run on the enforcer's
-    rewrite, through ``mr__plaext``."""
+    suppress_row condition reads: reports over it run with ``exams``
+    guarded by the condition, traced through ``mr``'s FROM scope."""
     cat = Catalog()
     schema = make_schema(
         ("patient", ColumnType.STRING),
@@ -531,20 +531,28 @@ class TestRewriteMemo:
 
     @staticmethod
     def rewritten(enforcer, checker, report):
+        """The kept ``(query, hidden columns, row guards)`` of ``report``."""
         verdict = checker.check_report(report)
         conditions = [
             o.annotation for o in verdict.obligations if o.kind == "intensional"
         ]
-        return enforcer._rewrite_for_intensional(report, conditions)[0]
+        return enforcer._rewrite_for_intensional(
+            report, conditions, verdict.covering_metareport
+        )
 
     def test_a_repeated_delivery_runs_the_same_query_object(self):
         cat, checker, _, _ = _exams()
         enforcer = ReportLevelEnforcer(catalog=cat)
         report = _report(self.SQL)
-        self.deliver(enforcer, checker, report)  # registers mr__plaext
+        self.deliver(enforcer, checker, report)
         first = self.rewritten(enforcer, checker, report)
-        assert first.source == "mr__plaext"
+        query, hidden, guards = first
+        assert query is report.query and hidden == ()
+        assert guards == {"exams": parse_expression("disease != 'HIV'")}
         assert self.rewritten(enforcer, checker, report) is first
+        # One guarded catalog serves every delivery, and no view was added.
+        assert cat.guarded(guards) is cat.guarded(guards)
+        assert cat.view_names() == ("mr",)
 
     def test_follows_a_replaced_view_it_extends(self):
         cat, checker, _, _ = _exams()
@@ -564,7 +572,12 @@ class TestRewriteMemo:
             assert self.deliver(enforcer, checker, report) == {
                 "normal": 1, "positive": 1,
             }
-        assert cat.view("mr__plaext").query.where is not None
+        # The condition is traced through the replaced view, and still
+        # guards the base table without a view of its own.
+        assert self.rewritten(enforcer, checker, report)[2] == {
+            "exams": parse_expression("disease != 'HIV'")
+        }
+        assert not cat.is_view("mr__plaext")
 
     def test_follows_a_pla_revision_of_the_condition(self):
         cat, checker, meta, registry = _exams()
@@ -597,7 +610,9 @@ class TestRewriteMemo:
 def _fresh_delivery(scenario, definition, user: str, purpose: str):
     """``definition``'s verdict and delivered payload hash (``None`` when
     refused), from a checker and enforcer built for this one delivery, with
-    no proof cache and no plan cache, on the row engine."""
+    no proof cache and no plan cache, on the row engine. The enforcer runs
+    over a fresh catalog with the same tables and views, so it builds its
+    own guarded catalog instead of reading the scenario catalog's."""
     from repro.anonymize import Pseudonymizer
     from repro.errors import ComplianceError
     from repro.service.state import payload_hash
@@ -608,8 +623,13 @@ def _fresh_delivery(scenario, definition, user: str, purpose: str):
         metareports=scenario.metareports,
         source_identity=scenario.checker.source_identity,
     ).check_report(definition)
+    catalog = Catalog()
+    for name in scenario.bi_catalog.table_names():
+        catalog.add_table(scenario.bi_catalog.table(name))
+    for name in scenario.bi_catalog.view_names():
+        catalog.add_view(scenario.bi_catalog.view(name))
     enforcer = ReportLevelEnforcer(
-        catalog=scenario.bi_catalog,
+        catalog=catalog,
         pseudonymizer=Pseudonymizer(salt="trentino-bi"),
         hierarchies=scenario.enforcer.hierarchies,
     )

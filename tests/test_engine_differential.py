@@ -5,7 +5,7 @@ The row engine (:func:`repro.relational.execute_row`) is the semantics
 oracle. For hypothesis-generated random tables (NULL-heavy) and random query
 trees — FROM a base table or a view over it, joins (inner and left outer),
 three-valued WHERE logic, grouping and aggregates, HAVING, computed
-projections, DISTINCT, ORDER BY, LIMIT — the columnar path (fused vector
+projections, DISTINCT, UNION, ORDER BY, LIMIT — the columnar path (fused vector
 cores, declined cores on the row operators; plan caching disabled, so every
 run actually executes) must produce:
 
@@ -20,6 +20,8 @@ view bodies it can fold into its frame and decline every other one.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -282,6 +284,9 @@ def query_trees(draw) -> tuple[Query, tuple[View, ...], bool]:
 
     if draw(st.booleans()):
         q = q.distinct()
+    if draw(st.booleans()):  # a UNION branch: the same block under its own WHERE
+        where = draw(st.none() | _predicates(int_cols, str_cols))
+        q = q.union_with(replace(q, where=where), all=draw(st.booleans()))
     if out_names and draw(st.booleans()):
         keys = [
             (c, draw(st.booleans()))

@@ -2,6 +2,7 @@
 
 import datetime
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -112,17 +113,18 @@ class TestRendering:
         subjects.add_role("analyst")
         subjects.add_user("ann", "analyst")
         engine = ReportEngine(paper_catalog)
-        engine.add_row_filter(lambda d, row, contributors: contributors >= 2)
         definition = ReportDefinition(
             "drug_consumption", "Drug consumption",
             parse_query("SELECT drug, COUNT(*) AS n FROM prescriptions GROUP BY drug"),
             frozenset({"analyst"}), "care",
         )
         instance = engine.generate(definition, subjects.context("ann", "care"))
+        # As a threshold pass leaves it: one group kept, three suppressed.
+        instance = replace(instance, table=instance.table.take([0]), suppressed_rows=3)
         text = render_text(instance)
         assert "Drug consumption" in text
         assert "delivered to: ann" in text
-        assert "suppressed by privacy enforcement" in text
+        assert "3 row(s) suppressed by privacy enforcement" in text
         assert "1 row(s)" in text
 
 

@@ -77,25 +77,6 @@ class TestEngine:
         with pytest.raises(ComplianceError):
             engine.generate(drug_report(), subjects.context("gus", "care/quality"))
 
-    def test_pre_check_blocks(self, paper_catalog, subjects):
-        engine = ReportEngine(paper_catalog)
-
-        def deny(definition, context):
-            raise ComplianceError("nope")
-
-        engine.add_pre_check(deny)
-        with pytest.raises(ComplianceError):
-            engine.generate(drug_report(), subjects.context("ann", "care/quality"))
-
-    def test_row_filter_suppresses(self, paper_catalog, subjects):
-        engine = ReportEngine(paper_catalog)
-        engine.add_row_filter(lambda d, row, contributors: contributors >= 2)
-        instance = engine.generate(
-            drug_report(), subjects.context("ann", "care/quality")
-        )
-        assert dict(instance.table.rows) == {"DR": 2}
-        assert instance.suppressed_rows == 3
-
 
 class TestCatalog:
     def test_add_update_history(self):

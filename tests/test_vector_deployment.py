@@ -1,9 +1,9 @@
 """The standard deployment runs on the vector tier end to end.
 
 All 30 reports of ``build_scenario()`` read the wide star view, a 4-way
-join. The vector planner inlines it (and the meta-report views and the
-enforcer's ``<view>__plaext`` extensions over it), so every query a
-delivery runs must execute fused with zero declines, with values and
+join. The vector planner inlines it (and the meta-report views over it),
+so every query a delivery runs, on the catalog its suppress_row guards
+give it too, must execute fused with zero declines, with values and
 provenance equal to the row reference, before and after each mutation
 kind the delivery daemon applies. On the plan-cached path the result's
 provenance is decoded once, before it is cached, and every hit shares it.
@@ -67,20 +67,28 @@ def planner_calls(monkeypatch):
 
 
 def _delivery_queries(scenario) -> list:
-    """Each report, the query its enforcer runs, and each meta-report view."""
-    queries = []
+    """``(query, catalog)``: each report on the catalog and on the guarded
+    catalog its suppress_row conditions give it, the query its enforcer
+    runs on that guarded catalog, and each meta-report view."""
+    catalog = scenario.bi_catalog
+    runs = []
     for definition in scenario.report_catalog.all_current():
         verdict = scenario.checker.check_report(definition)
         conditions = [
             o.annotation for o in verdict.obligations if o.kind == "intensional"
         ]
-        rewritten, _ = scenario.enforcer._rewrite_for_intensional(
-            definition, conditions
+        rewritten, _, guards = scenario.enforcer._rewrite_for_intensional(
+            definition, conditions, verdict.covering_metareport
         )
-        queries += [definition.query, rewritten]
+        guarded = catalog.guarded(guards)
+        runs += [
+            (definition.query, catalog),
+            (definition.query, guarded),
+            (rewritten, guarded),
+        ]
     for metareport in scenario.metareports:
-        queries.append(scenario.bi_catalog.view(metareport.name).query)
-    return list(dict.fromkeys(queries))
+        runs.append((catalog.view(metareport.name).query, catalog))
+    return list(dict.fromkeys(runs))
 
 
 def test_deployment_queries_run_fused_and_match_the_row_reference(declines):
@@ -90,17 +98,18 @@ def test_deployment_queries_run_fused_and_match_the_row_reference(declines):
     for epoch, kind in enumerate((None, *MUTATION_KINDS)):
         if kind is not None:
             apply_mutation_to(scenario, MutationSpec(kind, seed=epoch))
-        queries = _delivery_queries(scenario)
-        assert len(queries) > len(scenario.metareports)
+        runs = _delivery_queries(scenario)
+        assert len(runs) > len(scenario.metareports)
+        assert any(on is not catalog for _, on in runs)
         if kind == "redefine_report":
-            assert any(q.limit_n is not None for q in queries)
-        for query in queries:
-            got = execute(query, catalog, config=UNCACHED)
-            state = (query, catalog.state_token(query))
+            assert any(q.limit_n is not None for q, _ in runs)
+        for query, on in runs:
+            got = execute(query, on, config=UNCACHED)
+            state = (query, on.state_token(query))
             if state in checked:
                 continue
             checked.add(state)
-            ref = execute_row(query, catalog)
+            ref = execute_row(query, on)
             assert got.schema == ref.schema, query.describe()
             assert list(got.rows) == list(ref.rows), query.describe()
             assert list(got.provenance) == list(ref.provenance), query.describe()

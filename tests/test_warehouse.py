@@ -273,6 +273,6 @@ class TestPrivacyMetadataRegistry:
                 "hiv", "dwh", parse_expression("disease = 'HIV'"), {"mask": True}
             )
         )
-        assert reg.row_restrictions_for("dwh", {"disease": "HIV"}) == {"mask": True}
-        assert reg.row_restrictions_for("dwh", {"disease": "flu"}) == {}
+        (rule,) = reg.row_rules
+        assert rule.covers({"disease": "HIV"}) and not rule.covers({"disease": "flu"})
         assert reg.annotation_count() == 1

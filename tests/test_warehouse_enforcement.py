@@ -115,11 +115,11 @@ class TestGuardedExecution:
         table, suppressed = enforcer.run(
             query, subjects.context("ann", "care/quality")
         )
-        # DH aggregates only the HIV row: the group row itself matches the
-        # intensional deny rule? No — the rule keys on 'disease', absent
-        # from the aggregate output; but the floor (2) removes DH and DM.
+        # The deny rule guards dwh_presc itself, so Alice's HIV row never
+        # reaches the grouping and DH forms no group; the floor (2) removes
+        # DM, the one row the suppressed count counts.
         assert dict(table.rows) == {"DR": 2}
-        assert suppressed == 2
+        assert suppressed == 1
 
     def test_row_rules_on_detail_output(self, world):
         enforcer, subjects = world
@@ -128,7 +128,9 @@ class TestGuardedExecution:
             query, subjects.context("ann", "care/quality")
         )
         assert "HIV" not in table.column_values("disease")
-        assert suppressed == 1
+        assert len(table) == 3
+        # Rows the rule kept away from the engine are not counted.
+        assert suppressed == 0
 
     def test_rejection_raises(self, world):
         enforcer, subjects = world
