@@ -102,15 +102,14 @@ class AuditLog:
     def record_instance(
         self, instance: ReportInstance, context: AccessContext
     ) -> DisclosureRecord:
-        """Append one delivered instance to the log."""
+        """Append one delivered instance to the log.
+
+        The table facts are read through its properties, which a kept
+        :class:`~repro.relational.table.ReadOnlyTable` computes once.
+        """
         table = instance.table
-        if len(table):
-            min_contributors = min(
-                len(table.lineage_of(i)) for i in range(len(table))
-            )
-        else:
-            min_contributors = 0
-        footprint = tuple(sorted(table.footprint()))
+        min_contributors = table.min_contributors
+        footprint = table.source_footprint
         trace_id = TRACER.current_trace_id() or "" if TRACER.active() else ""
         with self._lock:
             record = DisclosureRecord(

@@ -8,6 +8,8 @@ Three translations live here:
 * :class:`ReportLevelEnforcer` — runs a report under its compliance verdict,
   discharging runtime obligations: row conditions as base-table guards, cell
   conditions (hidden-column support), lineage-counted thresholds, anonymization.
+  A result that came out of the plan cache has its enforced outcome kept in
+  the cache entry's slot, so a warm delivery runs no obligation pass.
 * :func:`to_etl_registry` — projects join/integration annotations into an
   :class:`~repro.etl.annotations.EtlPlaRegistry` so ETL flows enforce them.
 * :func:`to_vpd_policy` — projects source-level PLAs into VPD rules.
@@ -16,7 +18,7 @@ Three translations live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.cache import LRUCache
 from repro.errors import CatalogError, ComplianceError, EnforcementError
@@ -42,10 +44,40 @@ from repro.policy.subjects import AccessContext
 from repro.policy.vpd import ColumnMask, VPDPolicy, VPDRule
 from repro.relational.catalog import Catalog
 from repro.relational.engine import execute
-from repro.relational.table import Table
+from repro.relational.table import ReadOnlyTable, Table
 from repro.reports.definition import ReportDefinition, ReportInstance
 
 __all__ = ["ReportLevelEnforcer", "to_etl_registry", "to_vpd_policy"]
+
+
+class _Outcome(NamedTuple):
+    """One report's enforced result and the objects it was built from.
+
+    Kept in a plan-cache slot, it holds while the verdict's obligations,
+    the hidden columns, the pseudonymizer and each hierarchy it read are
+    those same objects. They are compared by identity; the references kept
+    here stop their ids from being reused.
+    """
+
+    obligations: tuple
+    hidden: tuple[str, ...]
+    pseudonymizer: Pseudonymizer | None
+    hierarchies: tuple[tuple[str, Hierarchy | None], ...]
+    table: Table
+    suppressed: int
+    applied: tuple[str, ...]
+
+    def holds(
+        self, obligations: tuple, hidden: tuple, enforcer: "ReportLevelEnforcer"
+    ) -> bool:
+        if self.obligations is not obligations or self.hidden is not hidden:
+            return False
+        if self.pseudonymizer is not enforcer.pseudonymizer:
+            return False
+        for attribute, hierarchy in self.hierarchies:
+            if enforcer.hierarchies.get(attribute) is not hierarchy:
+                return False
+        return True
 
 
 @dataclass
@@ -58,6 +90,10 @@ class ReportLevelEnforcer:
     _rewrites: LRUCache = field(
         default_factory=lambda: LRUCache(maxsize=256),
         init=False, repr=False, compare=False,
+    )
+    #: Names this enforcer's outcomes in plan-cache slots.
+    _slot_key: object = field(
+        default_factory=object, init=False, repr=False, compare=False
     )
 
     def generate(
@@ -140,30 +176,57 @@ class ReportLevelEnforcer:
             for o in verdict.obligations
             if o.kind == "intensional"
         ]
-        thresholds = [
-            o.annotation
-            for o in verdict.obligations
-            if o.kind == "aggregation_threshold"
-        ]
-        anonymize = [
-            o.annotation for o in verdict.obligations if o.kind == "anonymize"
-        ]
-
         query, hidden, guards = self._rewrite_for_intensional(
             report, intensional, verdict.covering_metareport
         )
         table = execute(query, self.catalog.guarded(guards), name=report.name)
-        table = self._blank_cells(table, intensional)
-        table, suppressed = self._apply_thresholds(table, thresholds)
-        table = self._apply_anonymization(table, anonymize)
-        if hidden:
-            table = self._project_away(table, hidden)
+        # One kept outcome per report name and enforcer in the entry's slot;
+        # a stale one is replaced, never added beside.
+        slot = table.cache_slot
+        key = (self._slot_key, report.name)
+        outcome = slot.get(key) if slot is not None else None
+        if outcome is None or not outcome.holds(verdict.obligations, hidden, self):
+            outcome = self._enforce(table, verdict.obligations, hidden, intensional)
+            if slot is not None:
+                slot[key] = outcome
         return ReportInstance(
             definition=report,
-            table=table,
+            table=outcome.table,
             consumer=context.user.name,
-            suppressed_rows=suppressed,
-            obligations_applied=tuple(str(o) for o in verdict.obligations),
+            suppressed_rows=outcome.suppressed,
+            obligations_applied=outcome.applied,
+        )
+
+    def _enforce(
+        self,
+        table: Table,
+        obligations: tuple,
+        hidden: tuple[str, ...],
+        intensional: list,
+    ) -> _Outcome:
+        """The obligation passes over an executed result. A result from the
+        plan cache ends as a :class:`ReadOnlyTable`, to be kept in its slot."""
+        thresholds = [
+            o.annotation for o in obligations if o.kind == "aggregation_threshold"
+        ]
+        anonymize = [o.annotation for o in obligations if o.kind == "anonymize"]
+        enforced = self._blank_cells(table, intensional)
+        enforced, suppressed = self._apply_thresholds(enforced, thresholds)
+        enforced = self._apply_anonymization(enforced, anonymize)
+        if hidden:
+            enforced = self._project_away(enforced, hidden)
+        return _Outcome(
+            obligations=obligations,
+            hidden=hidden,
+            pseudonymizer=self.pseudonymizer,
+            hierarchies=tuple(
+                (r.attribute, self.hierarchies.get(r.attribute))
+                for r in anonymize
+                if r.method == "generalize"
+            ),
+            table=enforced if table.cache_slot is None else ReadOnlyTable(enforced),
+            suppressed=suppressed,
+            applied=tuple(str(o) for o in obligations),
         )
 
     # -- obligation mechanics ------------------------------------------------
@@ -257,11 +320,9 @@ class ReportLevelEnforcer:
             ) from None
         cells = [c for c in conditions if c.action == "suppress_cell"]
         query = report.query
-        needed = {column for c in cells for column in c.condition.columns()}
-        if needed:
-            query = self._ensure_columns_available(query, needed)
-        outputs = set(self.catalog.output_names(report.query))
+        outputs = set(self.catalog.output_names(query))
         hidden: list[str] = []
+        # Every refusal comes before the column reach, which may run DDL.
         for condition in cells:
             assert isinstance(condition, IntensionalCondition)
             for column in sorted(condition.hidden_columns(outputs)):
@@ -277,8 +338,12 @@ class ReportLevelEnforcer:
                         f"[{condition.describe()}]: report {report.name!r} must "
                         "have an explicit SELECT list for hidden-column enforcement"
                     )
-                query = query.project(*query.select, column)
                 hidden.append(column)
+        needed = {column for c in cells for column in c.condition.columns()}
+        if needed:
+            query = self._ensure_columns_available(query, needed)
+        if hidden:
+            query = query.project(*query.select, *hidden)
         return query, tuple(hidden), guards
 
     def _blank_cells(self, table: Table, conditions: list) -> Table:

@@ -30,7 +30,7 @@ import itertools
 import threading
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.cache import LRUCache
 from repro.errors import CatalogError
@@ -39,7 +39,8 @@ from repro.relational.query import Query
 from repro.relational.table import Table
 
 __all__ = [
-    "View", "Catalog", "ColumnFlow", "BlockScope", "MAX_VIEW_DEPTH", "joined_names"
+    "View", "Catalog", "ColumnFlow", "BlockScope", "RowGuards", "MAX_VIEW_DEPTH",
+    "joined_names",
 ]
 
 #: Deepest view nesting the executors and the static flows resolve; a
@@ -100,6 +101,38 @@ class BlockScope:
     joined: Mapping[str, ColumnFlow]  # what FROM and JOINs yield; WHERE reads it
     grouped: Mapping[str, ColumnFlow]  # group keys, then aggregates; HAVING reads it
     outputs: tuple[tuple[str, ColumnFlow], ...]  # what the block shows
+
+
+def _guard_key(guards: Mapping[str, Expr]) -> tuple:
+    return tuple(sorted((table, str(p)) for table, p in guards.items()))
+
+
+class RowGuards(Mapping[str, Expr]):
+    """A read-only ``{base table: predicate}`` guard set, as
+    :meth:`Catalog.row_guards` returns it. It carries the key
+    :meth:`Catalog.guarded` keeps its catalog under, formatted once: a
+    plain mapping with the same guards has the same key."""
+
+    __slots__ = ("_guards", "key")
+
+    def __init__(self, guards: Mapping[str, Expr]) -> None:
+        self._guards = dict(guards)
+        self.key = _guard_key(self._guards)
+
+    def __getitem__(self, table: str) -> Expr:
+        return self._guards[table]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._guards)
+
+    def __len__(self) -> int:
+        return len(self._guards)
+
+    def items(self):
+        return self._guards.items()
+
+    def __repr__(self) -> str:
+        return f"RowGuards({self._guards!r})"
 
 
 def joined_names(
@@ -533,7 +566,7 @@ class Catalog:
 
     def row_guards(
         self, conditions: Iterable[tuple[Expr, Query]], query: Query
-    ) -> dict[str, Expr]:
+    ) -> RowGuards:
         """Each ``(condition, over)`` pair restated, AND-ed per base table:
         the guards :meth:`guarded` runs ``query`` under. A guarded table read
         on the null-extended side of an outer join anywhere below ``query``
@@ -560,7 +593,7 @@ class Catalog:
                     if name in self._views and name not in seen:
                         seen.add(name)
                         frontier.append(self._views[name].query)
-        return guards
+        return RowGuards(guards)
 
     def guarded(self, guards: Mapping[str, Expr]) -> "Catalog":
         """This catalog, except that each base table in ``guards`` holds only
@@ -570,7 +603,7 @@ class Catalog:
         place, so the guarded catalog keeps its uid and plan-cache hook."""
         if not guards:
             return self
-        key = tuple(sorted((table, str(p)) for table, p in guards.items()))
+        key = guards.key if isinstance(guards, RowGuards) else _guard_key(guards)
         with self._lock:
             kept = self._guarded.get(key)
             if kept is None:

@@ -10,8 +10,17 @@ reads — any insert or DDL change makes old keys unreachable, so a hit is
 generations don't linger until LRU pressure.
 
 Cached values are immutable snapshots ``(name, schema, rows, provenance,
-provider)``; every hit rebuilds a fresh :class:`Table`, so callers can never
-corrupt the cache by mutating a result.
+provider)`` plus a **slot**: a dict that lives and dies with its entry (LRU
+eviction, :meth:`PlanCache.invalidate_catalog`, :meth:`PlanCache.clear`).
+Every hit rebuilds a fresh :class:`Table`, so callers can never corrupt the
+cache by mutating a result, and the table a hit or a landed fill returns
+carries the slot as ``Table.cache_slot``. A layer above keeps what it
+derives from this one result there:
+:class:`~repro.core.translation.ReportLevelEnforcer` keeps each report's
+enforced outcome, a read-only :class:`~repro.relational.table.ReadOnlyTable`
+that memoizes the facts the audit record and the commit log read from it.
+A result that did not come through the cache (row mode, no cache, an
+unkeyable query, a dropped fill) carries no slot.
 
 Concurrency: the executor uses the **reservation** protocol
 (:meth:`PlanCache.begin` → :meth:`PlanCache.fetch` →
@@ -109,20 +118,23 @@ class PlanCache:
     def fetch(
         self, reservation: PlanReservation, *, name: str | None = None
     ) -> Table | None:
-        """A fresh :class:`Table` rebuilt from the reserved key, or ``None``."""
+        """A fresh :class:`Table` rebuilt from the reserved key, carrying
+        the entry's slot, or ``None``."""
         snap = self._cache.get(reservation.key)
         if TRACER.active():
             instrument.cache_lookup("plan", snap is not None)
         if snap is None:
             return None
-        snap_name, schema, rows, provs, provider = snap
-        return Table.derived(
+        snap_name, schema, rows, provs, provider, slot = snap
+        table = Table.derived(
             name if name is not None else snap_name,
             schema,
             rows,
             provs,
             provider=provider,
         )
+        table.cache_slot = slot
+        return table
 
     def commit(self, reservation: PlanReservation, result: Table) -> bool:
         """Fill the reserved key, unless an invalidation intervened.
@@ -130,17 +142,23 @@ class PlanCache:
         Returns True when the fill landed. A False return means a catalog
         mutation (or explicit clear) ran between ``begin`` and now; the
         result was computed against superseded state and is discarded
-        (counted in ``stats.dropped_fills``).
+        (counted in ``stats.dropped_fills``). A landed fill gives ``result``
+        the new entry's slot.
         """
         self._ensure_hook(reservation.catalog)
+        slot: dict = {}
         snap = (
             result.name,
             result.schema,
             tuple(result.rows),
             tuple(result.provenance),
             result.provider,
+            slot,
         )
-        return self._cache.put_if(reservation.key, snap, reservation.token)
+        landed = self._cache.put_if(reservation.key, snap, reservation.token)
+        if landed:
+            result.cache_slot = slot
+        return landed
 
     # -- invalidation -------------------------------------------------------
 

@@ -42,6 +42,7 @@ class Schema:
 
     columns: tuple[Column, ...]
     _index: Mapping[str, int] = field(init=False, repr=False, compare=False, hash=False)
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False, hash=False)
 
     def __init__(self, columns: Iterable[Column]) -> None:
         cols = tuple(columns)
@@ -52,6 +53,7 @@ class Schema:
             index[col.name] = i
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_names", tuple(col.name for col in cols))
 
     # -- introspection ----------------------------------------------------
 
@@ -67,7 +69,7 @@ class Schema:
     @property
     def names(self) -> tuple[str, ...]:
         """Column names in schema order."""
-        return tuple(col.name for col in self.columns)
+        return self._names
 
     def column(self, name: str) -> Column:
         """The column named ``name``; raises :class:`SchemaError` if absent."""

@@ -26,6 +26,8 @@ __all__ = [
     "CellRef",
     "RowProvenance",
     "Table",
+    "ReadOnlyList",
+    "ReadOnlyTable",
     "EMPTY_LINEAGE",
     "relation_identity",
 ]
@@ -176,6 +178,11 @@ class Table:
     :meth:`insert`; relational operators construct new tables.
     """
 
+    #: The slot of the plan-cache entry this result was fetched from or
+    #: filled into (see :mod:`repro.relational.plancache`); ``None`` for a
+    #: table that did not come out of the plan cache.
+    cache_slot: dict | None = None
+
     def __init__(
         self,
         name: str,
@@ -315,6 +322,23 @@ class Table:
         which rows over the same relations share."""
         return frozenset().union(*{prov.footprint() for prov in self.provenance})
 
+    # -- what the audit record and the commit log read ------------------------
+
+    @property
+    def min_contributors(self) -> int:
+        """The fewest base rows any row's lineage holds (0 when empty)."""
+        return min([len(prov.lineage) for prov in self.provenance], default=0)
+
+    @property
+    def source_footprint(self) -> tuple[str, ...]:
+        """:meth:`footprint`, sorted."""
+        return tuple(sorted(self.footprint()))
+
+    @property
+    def rows_repr(self) -> str:
+        """``repr`` of the row list."""
+        return repr(self.rows)
+
     def distinct_values(self, name: str) -> set[Any]:
         """Set of distinct non-NULL values in ``name``."""
         return {v for v in self.column_values(name) if v is not None}
@@ -373,6 +397,65 @@ class Table:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Table({self.name!r}, {len(self.rows)} rows, schema={self.schema.describe()})"
+
+
+def _read_only(self, *args: Any, **kwargs: Any) -> Any:
+    raise TypeError(f"{type(self).__name__} refuses in-place change")
+
+
+class ReadOnlyList(list):
+    """A list that refuses in-place change; it compares, indexes, iterates
+    and ``repr`` s as the list it was built from."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+
+class _Kept:
+    """A :class:`Table` property that a :class:`ReadOnlyTable` computes on
+    first read and keeps in its instance dict, which later reads find first.
+    Two racing first reads compute the same value, so there is no lock."""
+
+    def __init__(self, prop: property) -> None:
+        self.fget = prop.fget
+        self.name = prop.fget.__name__
+
+    def __get__(self, table: "ReadOnlyTable | None", owner: type | None = None) -> Any:
+        if table is None:
+            return self
+        value = vars(table)[self.name] = self.fget(table)
+        return value
+
+
+class ReadOnlyTable(Table):
+    """A copy of a table that refuses change, shared by many readers.
+
+    Rows and provenance are :class:`ReadOnlyList` s, and setting or deleting
+    an attribute raises ``TypeError``. Since nothing can change, the facts
+    read from the table alone are computed on first read and kept.
+    """
+
+    def __init__(self, table: Table) -> None:
+        # Straight into the instance dict, past ``__setattr__``.
+        vars(self).update(
+            name=table.name,
+            schema=table.schema,
+            provider=table.provider,
+            rows=ReadOnlyList(table.rows),
+            provenance=ReadOnlyList(table.provenance),
+            data_version=table.data_version,
+        )
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        _read_only(self)
+
+    def __delattr__(self, name: str) -> None:
+        _read_only(self)
+
+    min_contributors = _Kept(Table.min_contributors)
+    source_footprint = _Kept(Table.source_footprint)
+    rows_repr = _Kept(Table.rows_repr)
 
 
 def make_schema(*specs: tuple[str, ColumnType] | tuple[str, ColumnType, bool]) -> Schema:

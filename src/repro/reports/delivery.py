@@ -152,7 +152,7 @@ class DeliveryService:
         assert res is not None
         deadline = res.new_deadline()
         down: dict[str, Exception] = {}
-        for source in sorted(instance.table.footprint()):
+        for source in instance.table.source_footprint:
             try:
                 res.check_source(source, deadline=deadline)
             except SourceUnavailableError as exc:

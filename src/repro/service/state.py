@@ -85,22 +85,27 @@ def payload_hash(instance: "ReportInstance") -> str:
     ``repr`` of a tuple: every part is built from strings, numbers, dates,
     booleans and ``None``, whose ``repr`` is unambiguous (strings are quoted
     and escaped, ``1`` and ``1.0`` differ), and the tuple's delimiters keep
-    the parts apart.
+    the parts apart. The rows' part is the table's ``rows_repr``, which a
+    kept :class:`~repro.relational.table.ReadOnlyTable` computes once,
+    spliced between the other parts' ``repr`` s.
     """
     table = instance.table
-    observable = (
+    head = (
         instance.definition.name,
         instance.definition.version,
         instance.consumer,
         table.schema.names,
-        table.rows,
+    )
+    tail = (
         instance.suppressed_rows,
         instance.obligations_applied,
         instance.degraded,
         instance.degraded_sources,
         instance.fault_cause,
     )
-    return hashlib.sha256(repr(observable).encode("utf-8")).hexdigest()
+    # repr(head + (rows,) + tail), without formatting the rows again.
+    text = f"{repr(head)[:-1]}, {table.rows_repr}, {repr(tail)[1:]}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def chain_digest(previous: str, record: "DisclosureRecord") -> str:

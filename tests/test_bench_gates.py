@@ -2,8 +2,9 @@
 
 ``benchmarks/overhead.py`` turns interleaved base/treated/base batch times
 into a row verdict; the obs and resilience benches turn a row's added time
-into a per-span or per-probe cost. Stubbing the timings pins both without
-timing anything.
+into a per-span or per-probe cost; the engine bench turns interleaved
+fused/row/fused passes into its ``scan_filter`` speedup. Stubbing the
+timings pins all three without timing anything.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import itertools
 
 import pytest
 
-from benchmarks import bench_obs_overhead, bench_resilience
+from benchmarks import bench_engine_scaling, bench_obs_overhead, bench_resilience
 from benchmarks.bench_engine_scaling import QUERIES
 from benchmarks.overhead import summarize
 
@@ -97,3 +98,35 @@ class TestPerProbeCost:
         # 2 sweeps of 40 probes add 400 us: 5 us per probe.
         cost = bench_resilience.probe_cost_us(400e-6, inner=2, probes_per_sweep=40)
         assert cost == pytest.approx(5.0)
+
+
+class TestEngineScanFilterGate:
+    def test_the_speedup_is_the_median_of_interleaved_passes(self, monkeypatch):
+        # Per-pass ratios row / mean(fused legs): 8, 12, 30, 11, 13.
+        legs = [
+            (1.0, 8.0, 1.0),
+            (0.5, 6.0, 0.5),
+            (0.1, 3.0, 0.1),
+            (1.0, 11.0, 1.0),
+            (1.2, 13.0, 0.8),
+        ]
+        calls = []
+
+        def fake_measure(base, treated, *, repeats, inner):
+            calls.append((repeats, inner))
+            return legs
+
+        monkeypatch.setattr(bench_engine_scaling, "measure_interleaved", fake_measure)
+        # The smoke sizes stand in for the full run's largest one.
+        monkeypatch.setattr(bench_engine_scaling, "SMOKE_SIZES", [200])
+        monkeypatch.setattr(bench_engine_scaling, "SINGLE_REPEAT_AT", 200)
+        results = bench_engine_scaling.run_engine_bench(smoke=True, repeats=1)
+        assert calls == [(bench_engine_scaling.INTERLEAVED_PASSES, 1)]
+        rows = {r["query"]: r for r in results["engine"]}
+        scan = rows["scan_filter"]
+        assert scan["fused_speedup"] == pytest.approx(12.0)
+        assert scan["row_s"] == 8.0 and scan["fused_s"] == pytest.approx(0.9)
+        gate = next(g for g in results["gates"] if g["name"] == "fused_vs_row_scan_filter_200")
+        assert gate["value"] == pytest.approx(12.0)
+        for name in ("hash_join", "group_aggregate"):
+            assert rows[name]["fused_speedup"] == rows[name]["row_s"] / rows[name]["fused_s"]

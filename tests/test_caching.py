@@ -15,8 +15,9 @@ yield a fresh computation, never a stale verdict.
   :class:`ComplianceVerdict`, keyed by the report's fingerprint and the
   meta-report set's generation.
 
-The enforcer's kept intensional rewrite rides on the same versions, and a
-differential test checks every memo of the warm delivery path against
+The enforcer's kept intensional rewrite rides on the same versions, its
+enforced outcome rides in the slot of the plan-cache entry it came from, and
+a differential test checks every memo of the warm delivery path against
 deliveries that use none.
 """
 
@@ -27,6 +28,7 @@ import pytest
 from repro.core import (
     PLA,
     AggregationThreshold,
+    AnonymizationRequirement,
     ComplianceChecker,
     IntensionalCondition,
     MetaReport,
@@ -603,19 +605,260 @@ class TestRewriteMemo:
 
 
 # ---------------------------------------------------------------------------
+# The enforced outcome, kept in the slot of the plan-cache entry it came from
+# ---------------------------------------------------------------------------
+
+def _floor(min_group_size: int) -> tuple:
+    """``mr``'s PLA: every obligation pass has work under it."""
+    return (
+        AggregationThreshold(min_group_size),
+        AnonymizationRequirement("patient", "pseudonymize"),
+        AnonymizationRequirement("zip", "generalize", 2),
+        IntensionalCondition(
+            "disease", parse_expression("disease != 'HIV'"), "suppress_row"
+        ),
+    )
+
+
+class TestKeptOutcome:
+    """``visits`` guarded by a suppress_row condition, groups under a
+    threshold of 2, ``patient`` pseudonymized and ``zip`` generalized; two
+    reports, ``r`` and ``r2``, run the same query."""
+
+    SQL = (
+        "SELECT patient, zip, COUNT(*) AS n, SUM(cost) AS total FROM mr "
+        "GROUP BY patient, zip"
+    )
+
+    @pytest.fixture
+    def dep(self):
+        from types import SimpleNamespace
+
+        from repro.anonymize import Pseudonymizer, zip_hierarchy
+
+        cat = Catalog()
+        schema = make_schema(
+            ("patient", ColumnType.STRING),
+            ("zip", ColumnType.STRING),
+            ("disease", ColumnType.STRING),
+            ("cost", ColumnType.INT),
+        )
+        rows = [
+            ("Alice", "38100", "HIV", 10),
+            ("Alice", "38100", "flu", 20),
+            ("Bob", "38122", "flu", 30),
+            ("Bob", "38122", "flu", 40),
+            ("Cara", "38050", "asthma", 5),
+            ("Cara", "38050", "flu", 7),
+        ]
+        cat.add_table(Table.from_rows("visits", schema, rows, provider="clinic"))
+        registry = PlaRegistry()
+        registry.add(PLA("p", "clinic", PlaLevel.METAREPORT, "mr", _floor(2)))
+        meta = MetaReport(
+            "mr", parse_query("SELECT patient, zip, disease, cost FROM visits")
+        )
+        meta.attach_pla(registry.approve("p"))
+        metaset = MetaReportSet()
+        metaset.add(meta)
+        metaset.register_views(cat)
+        query = parse_query(self.SQL)
+        return SimpleNamespace(
+            catalog=cat,
+            checker=ComplianceChecker(catalog=cat, metareports=metaset),
+            enforcer=ReportLevelEnforcer(
+                catalog=cat,
+                pseudonymizer=Pseudonymizer(salt="s"),
+                hierarchies={"zip": zip_hierarchy()},
+            ),
+            registry=registry,
+            meta=meta,
+            reports={
+                name: ReportDefinition(
+                    name=name, title=name, query=query,
+                    audience=frozenset({"analyst"}), purpose="care",
+                )
+                for name in ("r", "r2")
+            },
+            context=_context(),
+        )
+
+    @pytest.fixture
+    def runs(self, monkeypatch) -> list:
+        """The name of every result the obligation passes ran over."""
+        names: list = []
+        enforce = ReportLevelEnforcer._enforce
+
+        def counted(enforcer, table, *args):
+            names.append(table.name)
+            return enforce(enforcer, table, *args)
+
+        monkeypatch.setattr(ReportLevelEnforcer, "_enforce", counted)
+        return names
+
+    @pytest.fixture
+    def plans(self):
+        """Default-config executions run columnar through the default plan
+        cache, emptied first."""
+        from repro.relational import default_plan_cache
+
+        previous = set_default_config(ExecutionConfig(mode="columnar"))
+        default_plan_cache().clear()
+        try:
+            yield default_plan_cache()
+        finally:
+            set_default_config(previous)
+
+    @staticmethod
+    def deliver(dep, name: str = "r", enforcer=None):
+        report = dep.reports[name]
+        verdict = dep.checker.check_report(report)
+        assert verdict.compliant
+        return (enforcer or dep.enforcer).generate(report, dep.context, verdict)
+
+    @classmethod
+    def fresh(cls, dep):
+        """The same delivery by a new enforcer on the row engine, through no
+        plan cache."""
+        enforcer = ReportLevelEnforcer(
+            catalog=dep.catalog,
+            pseudonymizer=dep.enforcer.pseudonymizer,
+            hierarchies=dict(dep.enforcer.hierarchies),
+        )
+        previous = set_default_config(ExecutionConfig(mode="row"))
+        try:
+            return cls.deliver(dep, enforcer=enforcer)
+        finally:
+            set_default_config(previous)
+
+    @staticmethod
+    def observed(instance) -> tuple:
+        from repro.service.state import payload_hash
+
+        table = instance.table
+        return (
+            list(table.rows),
+            instance.suppressed_rows,
+            instance.obligations_applied,
+            table.min_contributors,
+            table.source_footprint,
+            payload_hash(instance),
+        )
+
+    def test_a_warm_delivery_runs_no_pass(self, dep, runs, plans):
+        first = self.deliver(dep)
+        for _ in range(3):
+            assert self.deliver(dep).table is first.table
+        assert runs == ["r"]
+        assert self.observed(first) == self.observed(self.fresh(dep))
+        # Alice's one flu visit is a group under the threshold.
+        assert first.suppressed_rows == 1
+        assert sorted(first.table.column_values("zip")) == ["380**", "381**"]
+        assert all(p.startswith("anon-") for p in first.table.column_values("patient"))
+
+    def test_an_in_place_change_raises_and_the_next_delivery_is_unchanged(
+        self, dep, plans
+    ):
+        import operator
+
+        before = self.observed(self.deliver(dep))
+        table = self.deliver(dep).table
+        row = ("x", "y", 1, 1)
+        changes = [
+            lambda: table.rows.append(row),
+            lambda: operator.setitem(table.rows, 0, row),
+            lambda: operator.delitem(table.rows, 0),
+            lambda: operator.iadd(table.rows, [row]),
+            lambda: table.rows.sort(),
+            lambda: table.provenance.pop(),
+            lambda: table.provenance.clear(),
+            lambda: table.insert(row),
+            lambda: setattr(table, "rows", []),
+            lambda: setattr(table, "name", "other"),
+        ]
+        for change in changes:
+            with pytest.raises(TypeError):
+                change()
+        assert table.rows == before[0] and table.name == "r"
+        assert self.observed(self.deliver(dep)) == before
+
+    @pytest.mark.parametrize(
+        "change",
+        ["clear", "insert_rows", "revise_pla", "pseudonymizer", "hierarchy"],
+    )
+    def test_a_change_runs_the_passes_again(self, dep, runs, plans, change):
+        from repro.anonymize import Pseudonymizer, zip_hierarchy
+
+        for _ in range(2):
+            self.deliver(dep)
+        assert len(runs) == 1
+        if change == "clear":
+            plans.clear()
+        elif change == "insert_rows":
+            dep.catalog.table("visits").insert(("Alice", "38100", "flu", 6))
+        elif change == "revise_pla":
+            dep.registry.revise("p", _floor(1))
+            dep.meta.attach_pla(dep.registry.approve("p"))
+        elif change == "pseudonymizer":
+            dep.enforcer.pseudonymizer = Pseudonymizer(salt="other")
+        else:
+            dep.enforcer.hierarchies["zip"] = zip_hierarchy()
+        after = self.deliver(dep)
+        assert len(runs) == 2
+        assert self.deliver(dep).table is after.table
+        assert len(runs) == 2
+        assert self.observed(after) == self.observed(self.fresh(dep))
+
+    def test_revisions_leave_one_kept_outcome_per_report(self, dep, plans):
+        for revision in range(10):
+            dep.registry.revise("p", _floor(1 + revision % 2))
+            dep.meta.attach_pla(dep.registry.approve("p"))
+            for name in ("r", "r2"):
+                self.deliver(dep, name)
+        # Both reports run one query, so they share one entry.
+        slots = [snap[-1] for snap in plans._cache._entries.values() if snap[-1]]
+        assert len(slots) == 1
+        assert sorted(name for _, name in slots[0]) == ["r", "r2"]
+        for (_, name), kept in slots[0].items():
+            verdict = dep.checker.check_report(dep.reports[name])
+            assert kept.obligations is verdict.obligations
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExecutionConfig(mode="row"),
+            ExecutionConfig(mode="columnar", use_plan_cache=False),
+        ],
+        ids=["row", "uncached"],
+    )
+    def test_a_result_from_no_plan_cache_runs_every_pass(self, dep, runs, config):
+        previous = set_default_config(config)
+        try:
+            tables = [self.deliver(dep).table for _ in range(3)]
+        finally:
+            set_default_config(previous)
+        assert runs == ["r"] * 3
+        assert len({id(t) for t in tables}) == 3
+        assert all(type(t) is Table for t in tables)
+
+
+# ---------------------------------------------------------------------------
 # Every memo of the warm path against a fresh checker and enforcer
 # ---------------------------------------------------------------------------
 
 
 def _fresh_delivery(scenario, definition, user: str, purpose: str):
-    """``definition``'s verdict and delivered payload hash (``None`` when
-    refused), from a checker and enforcer built for this one delivery, with
-    no proof cache and no plan cache, on the row engine. The enforcer runs
-    over a fresh catalog with the same tables and views, so it builds its
-    own guarded catalog instead of reading the scenario catalog's."""
+    """``definition``'s verdict and what a consumer and the audit log read
+    from its delivery (``None`` when refused): the row count, the columns,
+    the fewest contributors of any row, the sorted source footprint and the
+    payload hash, computed from the rows and their lineage. The checker and
+    enforcer are built for this one delivery, with no proof cache and no
+    plan cache, on the row engine. The enforcer runs over a fresh catalog
+    with the same tables and views, so it builds its own guarded catalog
+    instead of reading the scenario catalog's."""
+    import hashlib
+
     from repro.anonymize import Pseudonymizer
     from repro.errors import ComplianceError
-    from repro.service.state import payload_hash
 
     clear_proof_caches()
     verdict = ComplianceChecker(
@@ -642,13 +885,48 @@ def _fresh_delivery(scenario, definition, user: str, purpose: str):
         return verdict, None
     finally:
         set_default_config(previous)
-    return verdict, payload_hash(instance)
+    table = instance.table
+    observable = (
+        definition.name,
+        definition.version,
+        instance.consumer,
+        table.schema.names,
+        table.rows,
+        instance.suppressed_rows,
+        instance.obligations_applied,
+        instance.degraded,
+        instance.degraded_sources,
+        instance.fault_cause,
+    )
+    return verdict, (
+        len(table.rows),
+        tuple(column.name for column in table.schema),
+        min((len(table.lineage_of(i)) for i in range(len(table))), default=0),
+        tuple(sorted(table.footprint())),
+        hashlib.sha256(repr(observable).encode("utf-8")).hexdigest(),
+    )
+
+
+def _delivered_facts(instance) -> tuple:
+    """:func:`_fresh_delivery`'s facts, as the delivered table keeps them."""
+    from repro.service.state import payload_hash
+
+    table = instance.table
+    return (
+        len(table),
+        table.schema.names,
+        table.min_contributors,
+        table.source_footprint,
+        payload_hash(instance),
+    )
 
 
 class TestWarmPathDifferential:
     """Deliveries through long-lived objects, whose verdict cache, meta-report
-    generation, kept rewrites and kept base tables fill as they go, equal
-    what :func:`_fresh_delivery` gives."""
+    generation, kept rewrites, kept base tables and kept outcomes fill as
+    they go, equal what :func:`_fresh_delivery` gives: the service's
+    deliveries as the audit log records them, the concurrent ones as the
+    delivered tables keep them."""
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_memoized_deliveries_equal_fresh_ones(self, seed):
@@ -681,9 +959,17 @@ class TestWarmPathDifferential:
             verdict = scenario.checker.check_report(definition)
             try:
                 instance = service.deliver(definition.name, user=user, purpose=purpose)
-                got = payload_hash(instance)
             except ComplianceError:
                 got = None
+            else:
+                record = service.audit_log.records[-1]
+                got = (
+                    record.row_count,
+                    record.columns,
+                    record.min_contributors,
+                    record.source_footprint,
+                    payload_hash(instance),
+                )
             want = _fresh_delivery(scenario, definition, user, purpose)
             assert (verdict, got) == want, (step, definition.name, user)
             delivered += got is not None
@@ -700,7 +986,6 @@ class TestWarmPathDifferential:
 
         from repro.errors import ComplianceError
         from repro.service.loadgen import ROLE_TO_USER
-        from repro.service.state import payload_hash
         from repro.simulation import build_scenario
 
         scenario = build_scenario()
@@ -736,7 +1021,7 @@ class TestWarmPathDifferential:
             for definition, user, purpose in order:
                 verdict = checker.check_report(definition)
                 try:
-                    got = payload_hash(
+                    got = _delivered_facts(
                         enforcer.generate(
                             definition, scenario.subjects.context(user, purpose), verdict
                         )

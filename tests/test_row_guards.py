@@ -280,6 +280,21 @@ class TestProbes:
         (refusal,) = svc.refusals
         assert "attribute 'region' shown only where" in refusal.reason
 
+    @ENGINES
+    def test_a_refused_delivery_runs_no_ddl(self, mode):
+        """``mr`` hides the condition column ``disease``; the refusal comes
+        before the enforcer would extend ``mr`` to reach it."""
+        svc = service(
+            "SELECT patient, region FROM visits", blank_region(),
+            ("r", "SELECT * FROM mr"),
+        )
+        catalog = svc.enforcer.catalog
+        ddl_version, views = catalog.ddl_version, catalog.view_names()
+        with engine(mode), pytest.raises(ComplianceError, match="explicit SELECT"):
+            svc.deliver("r", user="ann", purpose="care")
+        assert catalog.ddl_version == ddl_version
+        assert catalog.view_names() == views == ("mr",)
+
 
 # ---------------------------------------------------------------------------
 # Restatement and the typed refusals
@@ -553,6 +568,27 @@ class TestLifecycle:
         # Filtered again in place: one guarded catalog served all three.
         assert catalog.guarded({"dim_disease": NOT_HIV}) is guarded
         assert len(catalog._guarded) == 1
+
+    def test_a_guard_set_carries_its_key(self, monkeypatch):
+        """``row_guards`` returns a read-only guard set whose key is formatted
+        once; a plain mapping of the same guards finds the same catalog."""
+        from repro.relational.expressions import Comparison
+
+        catalog = visits_catalog()
+        query = parse_query("SELECT region FROM visits")
+        guards = catalog.row_guards([(NOT_HIV, query)], query)
+        assert guards == {"visits": NOT_HIV}
+        kept = catalog.guarded(guards)
+        assert catalog.guarded({"visits": NOT_HIV}) is kept
+        with pytest.raises(TypeError):
+            guards["kin"] = NOT_HIV  # type: ignore[index]
+
+        def unformattable(expr):
+            raise AssertionError(f"formatted {expr!r}")
+
+        monkeypatch.setattr(Comparison, "__str__", unformattable)
+        for _ in range(3):
+            assert catalog.guarded(guards) is kept
 
     def test_ddl_rebuilds_the_guarded_catalog_and_the_memo_is_bounded(self):
         catalog = visits_catalog()
