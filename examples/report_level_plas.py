@@ -134,8 +134,26 @@ def main() -> None:
         agg_report, subjects.context("ann", "care/quality"), verdict
     )
     print(instance.table.pretty())
-    print(f"(suppressed {instance.suppressed_rows} undersized group(s); "
-          "HIV rows never contributed)")
+    print(f"(suppressed {instance.suppressed_rows} undersized group(s) of "
+          "fewer than 2 records)")
+
+    # -- the hidden-column device: HIV patients' results are blanked in the
+    # base table, so the grouping puts them into one NULL group -------------
+    result_report = ReportDefinition(
+        name="results",
+        title="Exam results",
+        query=parse_query("SELECT result, COUNT(*) AS n FROM wide GROUP BY result"),
+        audience=frozenset({"analyst"}),
+        purpose="care/quality",
+    )
+    verdict = checker.check_report(result_report)
+    print(f"\n{verdict.summary()}")
+    instance = enforcer.generate(
+        result_report, subjects.context("ann", "care/quality"), verdict
+    )
+    print(instance.table.pretty())
+    print(f"(HIV patients' results blanked before grouping; suppressed "
+          f"{instance.suppressed_rows} undersized group(s))")
 
     # -- audience violation: wrong role asks for patient data ---------------
     blocked = ReportDefinition(

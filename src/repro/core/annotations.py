@@ -46,6 +46,9 @@ class Annotation(abc.ABC):
     """Base class: every annotation names its kind and can describe itself."""
 
     requirement_kind: str = "abstract"
+    #: Whether enforcing it blanks cells in the base table (see
+    #: :class:`~repro.core.translation.ReportLevelEnforcer`).
+    blanks_cells: bool = False
 
     @abc.abstractmethod
     def describe(self) -> str:
@@ -126,6 +129,10 @@ class AnonymizationRequirement(Annotation):
                 f"expected one of {self._METHODS}"
             )
 
+    @property
+    def blanks_cells(self) -> bool:
+        return self.method == "suppress"
+
     def describe(self) -> str:
         extra = (
             f" to level {self.generalization_level}"
@@ -177,11 +184,13 @@ class IntensionalCondition(Annotation):
 
     ``condition`` may reference columns that are *not* displayed — "HIV can
     be a separate column in the same report that is used only for purposes
-    of defining PLAs, even if it is not made visible to users". For
-    ``suppress_row`` the enforcement translator traces the condition to the
-    base table it restricts and filters that table before the query reads
-    it; for ``suppress_cell`` it pulls the hidden columns into the query,
-    blanks the attribute per row, and projects them away again.
+    of defining PLAs, even if it is not made visible to users". The
+    enforcement translator traces the condition, and for ``suppress_cell``
+    the attribute, to the one base table they are copied from, and guards
+    that table wherever a query reads it: ``suppress_row`` keeps the rows
+    the condition is true on, and ``suppress_cell`` replaces the attribute's
+    base cell with ``CASE WHEN condition THEN attribute END``. Every WHERE,
+    grouping, DISTINCT, UNION branch and rename then reads the blanked cell.
 
     ``action`` is ``"suppress_cell"`` (blank the attribute) or
     ``"suppress_row"`` (drop the row).
@@ -201,12 +210,12 @@ class IntensionalCondition(Annotation):
                 f"unknown action {self.action!r}; expected one of {self._ACTIONS}"
             )
 
-    def hidden_columns(self, visible: set[str] | frozenset[str]) -> frozenset[str]:
-        """Condition columns not among the visible report columns."""
-        return self.condition.columns() - set(visible)
+    @property
+    def blanks_cells(self) -> bool:
+        return self.action == "suppress_cell"
 
     def describe(self) -> str:
-        effect = "blanked" if self.action == "suppress_cell" else "dropped with its row"
+        effect = "blanked" if self.blanks_cells else "dropped with its row"
         return (
             f"attribute {self.attribute!r} shown only where ({self.condition}); "
             f"otherwise {effect}"

@@ -274,10 +274,16 @@ class ComplianceChecker:
             for name in self.catalog.output_names(block)
         }
         used = self.catalog.input_names(report.query)
+        # The base columns it reads, walked only for a PLA with a cell rule.
+        read = (
+            self.catalog.input_sources(report.query)
+            if any(a.blanks_cells for a in covering.pla.annotations)
+            else frozenset()
+        )
         for annotation in covering.pla.annotations:
             self._check_annotation(
-                report, covering.query, outputs, used, annotation, violations,
-                obligations,
+                report, covering.query, outputs, used, read, annotation,
+                violations, obligations,
             )
         return ComplianceVerdict(
             report=report.name,
@@ -314,12 +320,19 @@ class ComplianceChecker:
             }
         )
 
+    def _reads(self, metareport: Query, attribute: str, read: frozenset) -> bool:
+        """Whether ``read`` meets the base columns that the meta-report's
+        ``attribute`` flows from."""
+        flow = dict(self.catalog.sources(metareport)).get(attribute)
+        return flow is not None and bool(flow.sources & read)
+
     def _check_annotation(
         self,
         report: ReportDefinition,
         metareport: Query,
         outputs: set[str],
         used: frozenset[str],
+        read: frozenset,
         annotation: Annotation,
         violations: list[ComplianceViolation],
         obligations: list[RuntimeObligation],
@@ -356,11 +369,15 @@ class ComplianceChecker:
                     )
                 )
         elif isinstance(annotation, AnonymizationRequirement):
-            if annotation.attribute in outputs or annotation.attribute in used:
+            if annotation.blanks_cells:
+                # Blanked in the base table, so whatever reads it reads NULL.
+                if self._reads(metareport, annotation.attribute, read):
+                    obligations.append(RuntimeObligation("anonymize", annotation))
+            elif annotation.attribute in outputs or annotation.attribute in used:
                 if report.query.set_ops:
-                    # As for suppress_cell below: a UNION can move the
-                    # attribute under another branch's column name, where
-                    # the enforcer cannot find it by name to anonymize it.
+                    # A UNION can move the attribute under another branch's
+                    # column name, where the enforcer cannot find it by name
+                    # to anonymize it.
                     violations.append(
                         ComplianceViolation(
                             annotation=annotation.describe(),
@@ -406,38 +423,12 @@ class ComplianceChecker:
             if not annotation.allowed:
                 obligations.append(RuntimeObligation("etl_integration", annotation))
         elif isinstance(annotation, IntensionalCondition):
-            cell = annotation.action == "suppress_cell"
-            if cell and report.query.set_ops and annotation.attribute in used:
-                # A UNION can move the attribute under another branch's
-                # column name, where no cell can be blanked by name.
-                target = "a UNION report that reads the attribute"
-            elif cell and report.query.is_aggregate and annotation.attribute in outputs:
-                target = "an aggregate report"
-            elif cell and report.query.select_distinct and annotation.attribute in outputs:
-                # Cells are blanked after DISTINCT: rows that differ only in
-                # a blanked cell come back as duplicates, counting its values.
-                target = "a DISTINCT report"
-            elif (
-                cell
-                and annotation.attribute in used
-                and (renamed := self._renamed(report, metareport, annotation.attribute))
+            # A suppress_cell rule is blanked in the base table: it binds a
+            # report that reads the attribute's base column in any way.
+            if not annotation.blanks_cells or self._reads(
+                metareport, annotation.attribute, read
             ):
-                # Cells are blanked by column name, so a copy under another
-                # name would be delivered unblanked.
-                target = f"a report that shows the attribute as {renamed}"
-            else:
-                if not cell or annotation.attribute in outputs:
-                    obligations.append(RuntimeObligation("intensional", annotation))
-                return
-            violations.append(
-                ComplianceViolation(
-                    annotation=annotation.describe(),
-                    reason=(
-                        "cell-level intensional condition cannot be applied "
-                        f"to {target}; use suppress_row or drop the attribute"
-                    ),
-                )
-            )
+                obligations.append(RuntimeObligation("intensional", annotation))
 
     def check_catalog(
         self, reports: tuple[ReportDefinition, ...]

@@ -35,7 +35,7 @@ from repro.core.translation import ReportLevelEnforcer
 from repro.policy.subjects import SubjectRegistry
 from repro.relational.algebra import AggSpec
 from repro.relational.catalog import Catalog, View
-from repro.relational.expressions import Col, Comparison, Lit
+from repro.relational.expressions import Col, Comparison, IsNull, Lit
 from repro.relational.query import Query
 from repro.relational.schema import Column, Schema
 from repro.relational.table import Table
@@ -332,6 +332,9 @@ class PlaTestHarness:
         self, annotation, metareport, checker, enforcer, subjects,
         group_column, probe_role,
     ) -> None:
+        if annotation.action == "suppress_cell":
+            self._test_cells(annotation, metareport, checker, enforcer, subjects)
+            return
         audience = frozenset({probe_role})
         try:
             instance = self._deliver(
@@ -349,22 +352,79 @@ class PlaTestHarness:
             for i in range(len(instance.table))
             if str(instance.table.row_dict(i).get(group_column, "")).endswith("_big")
         ]
-        if annotation.action == "suppress_row" and big:
-            contributors = len(instance.table.lineage_of(big[0]))
-            expected = self.fixture_group_size + 1  # one edge row removed
+        if not big:
             self._record(
-                "intensional/edge-rows",
-                annotation,
-                contributors == expected,
-                f"big group aggregated {contributors} rows (expected {expected})",
+                "intensional/edge-rows", annotation, True, "no big group delivered"
             )
-        else:
-            self._record(
-                "intensional/edge-rows",
-                annotation,
-                True,
-                "cell-level condition exercised at generation",
+            return
+        contributors = len(instance.table.lineage_of(big[0]))
+        expected = self.fixture_group_size + 1  # one edge row removed
+        self._record(
+            "intensional/edge-rows",
+            annotation,
+            contributors == expected,
+            f"big group aggregated {contributors} rows (expected {expected})",
+        )
+
+    def _test_cells(self, annotation, metareport, checker, enforcer, subjects) -> None:
+        """Deliver reports that read the attribute over the fixture: its rows,
+        or when the PLA has a threshold, ``COUNT(*)`` over every row and over
+        the rows whose attribute is not NULL. The case passes only if exactly
+        the fixture rows the condition is not true on come back blanked."""
+        case, attribute = "intensional/edge-rows", annotation.attribute
+        annotations = metareport.pla.annotations
+        roles = [
+            role
+            for role in self.roles
+            if all(
+                role in a.allowed_roles
+                for a in annotations
+                if isinstance(a, AttributeAccess) and a.attribute == attribute
             )
+        ]
+        if not roles:
+            self._record(case, annotation, True, "no role may read the attribute")
+            return
+
+        def deliver(query: Query) -> Table:
+            report = ReportDefinition(
+                name="pla_test_cells", title="t", query=query,
+                audience=frozenset({roles[0]}), purpose="test",
+            )
+            return self._deliver(report, checker, enforcer, subjects).table
+
+        source = Query.from_(metareport.name)
+        try:
+            if any(isinstance(a, AggregationThreshold) for a in annotations):
+                count = AggSpec("count", None, "n")
+                rows = deliver(source.agg(count)).all_lineage()
+                shown = deliver(source.filter(~IsNull(Col(attribute))).agg(count))
+                blanked = rows - shown.all_lineage()
+            else:
+                table = deliver(source.project(attribute))
+                rows = table.all_lineage()
+                blanked = {
+                    row
+                    for i, (value,) in enumerate(table.rows)
+                    if value is None
+                    for row in table.lineage_of(i)
+                }
+        except ComplianceError as exc:
+            self._record(case, annotation, False, str(exc))
+            return
+        base = enforcer.catalog.table("fixture_base")
+        failing = {
+            row
+            for row in rows
+            if annotation.condition.evaluate(base.row_dict(row.ordinal)) is not True
+        }
+        self._record(
+            case,
+            annotation,
+            bool(failing) and blanked == failing,
+            f"{len(blanked)} of {len(rows)} cell(s) blanked, "
+            f"{len(failing)} fail the condition",
+        )
 
     def _test_attribute_access(self, annotation, metareport, checker) -> None:
         outsiders = [r for r in self.roles if r not in annotation.allowed_roles]

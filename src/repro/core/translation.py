@@ -6,10 +6,13 @@ used for automated privacy management support at design time or runtime."
 Three translations live here:
 
 * :class:`ReportLevelEnforcer` — runs a report under its compliance verdict,
-  discharging runtime obligations: row conditions as base-table guards, cell
-  conditions (hidden-column support), lineage-counted thresholds, anonymization.
-  A result that came out of the plan cache has its enforced outcome kept in
-  the cache entry's slot, so a warm delivery runs no obligation pass.
+  discharging runtime obligations. Row conditions, cell conditions (hidden
+  columns included) and ``suppress`` anonymization guard the base tables
+  the report reads, so the query never sees a dropped row or a blanked
+  cell's value; lineage-counted thresholds, pseudonymization and
+  generalization run over the result. A result that came out of the plan
+  cache has its enforced outcome kept in the cache entry's slot, so a warm
+  delivery runs no obligation pass.
 * :func:`to_etl_registry` — projects join/integration annotations into an
   :class:`~repro.etl.annotations.EtlPlaRegistry` so ETL flows enforce them.
 * :func:`to_vpd_policy` — projects source-level PLAs into VPD rules.
@@ -17,7 +20,7 @@ Three translations live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from repro.cache import LRUCache
@@ -28,7 +31,6 @@ from repro.core.annotations import (
     AnonymizationRequirement,
     AttributeAccess,
     IntegrationPermission,
-    IntensionalCondition,
     JoinPermission,
 )
 from repro.core.compliance import ComplianceVerdict
@@ -42,8 +44,9 @@ from repro.obs import instrument
 from repro.obs.trace import TRACER
 from repro.policy.subjects import AccessContext
 from repro.policy.vpd import ColumnMask, VPDPolicy, VPDRule
-from repro.relational.catalog import Catalog
+from repro.relational.catalog import Catalog, Guards
 from repro.relational.engine import execute
+from repro.relational.expressions import Case, Col, Lit
 from repro.relational.table import ReadOnlyTable, Table
 from repro.reports.definition import ReportDefinition, ReportInstance
 
@@ -54,23 +57,20 @@ class _Outcome(NamedTuple):
     """One report's enforced result and the objects it was built from.
 
     Kept in a plan-cache slot, it holds while the verdict's obligations,
-    the hidden columns, the pseudonymizer and each hierarchy it read are
-    those same objects. They are compared by identity; the references kept
-    here stop their ids from being reused.
+    the pseudonymizer and each hierarchy it read are those same objects.
+    They are compared by identity; the references kept here stop their ids
+    from being reused.
     """
 
     obligations: tuple
-    hidden: tuple[str, ...]
     pseudonymizer: Pseudonymizer | None
     hierarchies: tuple[tuple[str, Hierarchy | None], ...]
     table: Table
     suppressed: int
     applied: tuple[str, ...]
 
-    def holds(
-        self, obligations: tuple, hidden: tuple, enforcer: "ReportLevelEnforcer"
-    ) -> bool:
-        if self.obligations is not obligations or self.hidden is not hidden:
+    def holds(self, obligations: tuple, enforcer: "ReportLevelEnforcer") -> bool:
+        if self.obligations is not obligations:
             return False
         if self.pseudonymizer is not enforcer.pseudonymizer:
             return False
@@ -87,7 +87,7 @@ class ReportLevelEnforcer:
     catalog: Catalog
     pseudonymizer: Pseudonymizer | None = None
     hierarchies: dict[str, Hierarchy] = field(default_factory=dict)
-    _rewrites: LRUCache = field(
+    _guard_sets: LRUCache = field(
         default_factory=lambda: LRUCache(maxsize=256),
         init=False, repr=False, compare=False,
     )
@@ -171,22 +171,15 @@ class ReportLevelEnforcer:
                 f"agreed purpose {report.purpose!r} of {report.name!r}"
             )
 
-        intensional = [
-            o.annotation
-            for o in verdict.obligations
-            if o.kind == "intensional"
-        ]
-        query, hidden, guards = self._rewrite_for_intensional(
-            report, intensional, verdict.covering_metareport
-        )
-        table = execute(query, self.catalog.guarded(guards), name=report.name)
+        guards = self._guards_for(report, verdict)
+        table = execute(report.query, self.catalog.guarded(guards), name=report.name)
         # One kept outcome per report name and enforcer in the entry's slot;
         # a stale one is replaced, never added beside.
         slot = table.cache_slot
         key = (self._slot_key, report.name)
         outcome = slot.get(key) if slot is not None else None
-        if outcome is None or not outcome.holds(verdict.obligations, hidden, self):
-            outcome = self._enforce(table, verdict.obligations, hidden, intensional)
+        if outcome is None or not outcome.holds(verdict.obligations, self):
+            outcome = self._enforce(table, verdict.obligations)
             if slot is not None:
                 slot[key] = outcome
         return ReportInstance(
@@ -197,27 +190,26 @@ class ReportLevelEnforcer:
             obligations_applied=outcome.applied,
         )
 
-    def _enforce(
-        self,
-        table: Table,
-        obligations: tuple,
-        hidden: tuple[str, ...],
-        intensional: list,
-    ) -> _Outcome:
+    def _enforce(self, table: Table, obligations: tuple) -> _Outcome:
         """The obligation passes over an executed result. A result from the
         plan cache ends as a :class:`ReadOnlyTable`, to be kept in its slot."""
-        thresholds = [
-            o.annotation for o in obligations if o.kind == "aggregation_threshold"
+        floor = max(
+            (
+                o.annotation.min_group_size
+                for o in obligations
+                if o.kind == "aggregation_threshold"
+            ),
+            default=1,
+        )
+        anonymize = [
+            o.annotation
+            for o in obligations
+            if o.kind == "anonymize" and not o.annotation.blanks_cells
         ]
-        anonymize = [o.annotation for o in obligations if o.kind == "anonymize"]
-        enforced = self._blank_cells(table, intensional)
-        enforced, suppressed = self._apply_thresholds(enforced, thresholds)
+        enforced, suppressed = table.drop_undersized(floor)
         enforced = self._apply_anonymization(enforced, anonymize)
-        if hidden:
-            enforced = self._project_away(enforced, hidden)
         return _Outcome(
             obligations=obligations,
-            hidden=hidden,
             pseudonymizer=self.pseudonymizer,
             hierarchies=tuple(
                 (r.attribute, self.hierarchies.get(r.attribute))
@@ -231,161 +223,71 @@ class ReportLevelEnforcer:
 
     # -- obligation mechanics ------------------------------------------------
 
-    def _ensure_columns_available(self, query, columns: set[str]):
-        """Make suppress_cell condition columns reachable from the source.
+    def _guards_for(
+        self, report: ReportDefinition, verdict: ComplianceVerdict
+    ) -> Guards:
+        """The guard set the report runs under: its verdict's row and cell
+        rules.
 
-        A report may be authored over a meta-report view that projects the
-        condition column away (it exists only "for purposes of defining
-        PLAs"). In that case the enforcer extends the view one level — its
-        FROM, joins included, still carries the column — and points the
-        query at the extended view. Raises when the column is genuinely
-        absent. A query that joins is returned as it is.
+        Kept per report query, rules, covering meta-report and catalog DDL
+        generation, so repeated deliveries run under one guard set. The key
+        holds the query's and rules' ids; the entry keeps references to
+        them, so no other object can take those ids while it lives.
         """
-        from repro.relational.catalog import View
-
-        if query.joins:
-            return query
-        source = query.source
-        available = self.catalog.output_names(source)
-        missing = {c for c in columns if c not in available}
-        if not missing:
-            return query
-        if not self.catalog.is_view(source):
-            raise EnforcementError(
-                f"intensional condition references {sorted(missing)}, absent "
-                f"from base table {source!r}"
-            )
-        view_query = self.catalog.view(source).query
-        upstream = self.catalog.output_names(replace(view_query, select=()))
-        if not view_query.select or not missing <= set(upstream):
-            raise EnforcementError(
-                f"cannot reach hidden column(s) {sorted(missing)} through "
-                f"view {source!r}"
-            )
-        extended_name = f"{source}__plaext"
-        extended = view_query.project(*view_query.select, *sorted(missing))
-        # Re-registering is catalog DDL: it bumps ddl_version, evicting every
-        # cached plan and re-keying every verdict over this catalog. Deliveries
-        # run under the daemon's read lock, so reuse an identical definition.
-        if not (
-            self.catalog.is_view(extended_name)
-            and self.catalog.view(extended_name).query == extended
-        ):
-            self.catalog.add_view(View(extended_name, extended), replace=True)
-        return replace(query, source=extended_name)
-
-    def _rewrite_for_intensional(
-        self,
-        report: ReportDefinition,
-        conditions: list,
-        metareport: str | None,
-    ) -> tuple:
-        """The query to run, the hidden columns to project away after, and
-        the row guards to run it under.
-
-        Kept per report query, conditions, covering meta-report and catalog
-        DDL generation, so repeated deliveries run one query object under
-        one guard set. The key holds the query's and conditions' ids; the
-        entry keeps references to them, so no other object can take those
-        ids while it lives. The DDL version is read before the rewrite,
-        which may register a view itself.
-        """
+        rules = [
+            o.annotation
+            for o in verdict.obligations
+            if o.kind == "intensional" or o.annotation.blanks_cells
+        ]
+        metareport = verdict.covering_metareport
         key = (
             id(report.query),
-            tuple(map(id, conditions)),
+            tuple(map(id, rules)),
             metareport,
             self.catalog.uid,
             self.catalog.ddl_version,
         )
-        kept = self._rewrites.get(key)
+        kept = self._guard_sets.get(key)
         if kept is None:
-            rewrite = self._rewrite(report, conditions, metareport)
-            kept = (report.query, tuple(conditions), rewrite)
-            self._rewrites.put(key, kept)
+            kept = (report.query, tuple(rules), self._guards(report, rules, metareport))
+            self._guard_sets.put(key, kept)
         return kept[2]
 
-    def _rewrite(
-        self, report: ReportDefinition, conditions: list, metareport: str | None
-    ) -> tuple:
-        # suppress_row conditions are over the covering meta-report's columns
-        # (the report's when none covers it) and guard the base tables.
+    def _guards(
+        self, report: ReportDefinition, rules: list, metareport: str | None
+    ) -> Guards:
+        # Rules are over the covering meta-report's columns (the report's
+        # when none covers it). suppress_row keeps a base row where its
+        # condition holds, suppress_cell shows the attribute's base cell
+        # where it holds, and a suppress anonymization never shows it.
         covered = metareport is not None and self.catalog.is_view(metareport)
         over = self.catalog.view(metareport).query if covered else report.query
-        rows = [(c.condition, over) for c in conditions if c.action == "suppress_row"]
+        rows, cells = [], []
+        for rule in rules:
+            anonymized = isinstance(rule, AnonymizationRequirement)
+            try:
+                if anonymized:
+                    table, column = self.catalog.restate(Col(rule.attribute), over)
+                    cells.append((table, column.name, Lit(None)))
+                elif rule.action == "suppress_row":
+                    rows.append(self.catalog.restate(rule.condition, over))
+                else:
+                    shown = Case((rule.condition,), (Col(rule.attribute),))
+                    table, shown = self.catalog.restate(shown, over)
+                    cells.append((table, shown.thens[0].name, shown))
+            except CatalogError as exc:
+                kind = "suppress" if anonymized else rule.action
+                raise EnforcementError(
+                    f"cannot enforce {kind} [{rule.describe()}] on report "
+                    f"{report.name!r}: {exc}"
+                ) from None
         try:
-            guards = self.catalog.row_guards(rows, report.query)
+            return self.catalog.guards(report.query, rows, cells)
         except CatalogError as exc:
             raise EnforcementError(
-                f"cannot enforce suppress_row on report {report.name!r}: {exc}"
+                f"cannot enforce the row and cell rules on report "
+                f"{report.name!r}: {exc}"
             ) from None
-        cells = [c for c in conditions if c.action == "suppress_cell"]
-        query = report.query
-        outputs = set(self.catalog.output_names(query))
-        hidden: list[str] = []
-        # Every refusal comes before the column reach, which may run DDL.
-        for condition in cells:
-            assert isinstance(condition, IntensionalCondition)
-            for column in sorted(condition.hidden_columns(outputs)):
-                if column in hidden:
-                    continue
-                if query.is_aggregate or query.set_ops:
-                    raise EnforcementError(
-                        f"[{condition.describe()}] with hidden columns cannot "
-                        "attach to an aggregate or UNION report"
-                    )
-                if not query.select:
-                    raise EnforcementError(
-                        f"[{condition.describe()}]: report {report.name!r} must "
-                        "have an explicit SELECT list for hidden-column enforcement"
-                    )
-                hidden.append(column)
-        needed = {column for c in cells for column in c.condition.columns()}
-        if needed:
-            query = self._ensure_columns_available(query, needed)
-        if hidden:
-            query = query.project(*query.select, *hidden)
-        return query, tuple(hidden), guards
-
-    def _blank_cells(self, table: Table, conditions: list) -> Table:
-        """Blank cells failing suppress_cell conditions."""
-        cell_conditions = [
-            c
-            for c in conditions
-            if c.action == "suppress_cell"
-            and c.attribute in table.schema
-            and c.condition.columns() <= set(table.schema.names)
-        ]
-        if not cell_conditions:
-            return table
-        from repro.relational.schema import Column, Schema
-
-        blanked_columns = {c.attribute for c in cell_conditions}
-        schema = Schema(
-            Column(col.name, col.ctype, True)
-            if col.name in blanked_columns
-            else col
-            for col in table.schema
-        )
-        rows = []
-        for i in range(len(table)):
-            row_dict = table.row_dict(i)
-            mutated = list(table.rows[i])
-            for condition in cell_conditions:
-                if not condition.condition.evaluate(row_dict):
-                    mutated[table.schema.index_of(condition.attribute)] = None
-            rows.append(tuple(mutated))
-        return Table.derived(
-            table.name, schema, rows, list(table.provenance), provider=table.provider
-        )
-
-    def _apply_thresholds(self, table: Table, thresholds: list) -> tuple[Table, int]:
-        """Suppress aggregate rows with too few base contributors."""
-        if not thresholds:
-            return table, 0
-        required = max(t.min_group_size for t in thresholds)
-        keep = [i for i in range(len(table)) if len(table.lineage_of(i)) >= required]
-        dropped = len(table) - len(keep)
-        return table.take(keep), dropped
 
     def _apply_anonymization(self, table: Table, requirements: list) -> Table:
         for requirement in requirements:
@@ -401,8 +303,6 @@ class ReportLevelEnforcer:
                 table = self.pseudonymizer.apply(
                     table, [requirement.attribute], name=table.name
                 )
-            elif requirement.method == "suppress":
-                table = self._suppress_column(table, requirement.attribute)
             else:  # generalize
                 hierarchy = self.hierarchies.get(requirement.attribute)
                 if hierarchy is None:
@@ -415,23 +315,6 @@ class ReportLevelEnforcer:
                     requirement.generalization_level,
                 )
         return table
-
-    @staticmethod
-    def _suppress_column(table: Table, column: str) -> Table:
-        from repro.relational.schema import Column, Schema
-
-        idx = table.schema.index_of(column)
-        schema = Schema(
-            Column(c.name, c.ctype, True) if c.name == column else c
-            for c in table.schema
-        )
-        rows = [
-            tuple(None if j == idx else v for j, v in enumerate(row))
-            for row in table.rows
-        ]
-        return Table.derived(
-            table.name, schema, rows, list(table.provenance), provider=table.provider
-        )
 
     @staticmethod
     def _generalize_column(
@@ -455,13 +338,6 @@ class ReportLevelEnforcer:
         return Table.derived(
             table.name, schema, rows, list(table.provenance), provider=table.provider
         )
-
-    @staticmethod
-    def _project_away(table: Table, hidden: tuple[str, ...]) -> Table:
-        from repro.relational import algebra
-
-        keep = [c for c in table.schema.names if c not in hidden]
-        return algebra.project(table, keep, name=table.name)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ engine would refuse the query. Every privacy decision and ``repro lint``
 read these flows; the static flows over-approximate the runtime
 where-provenance of every output cell (checked by property tests).
 
-A row obligation at any level is a predicate over one base table that
-filters every read of it (:meth:`Catalog.row_guards`, :meth:`Catalog.guarded`).
+An obligation at any level is a rewrite of one base table, applied to every
+read of it (:meth:`Catalog.guards`, :meth:`Catalog.guarded`): a row
+obligation is a predicate over its columns, a cell obligation an expression
+that replaces one column's value.
 """
 
 from __future__ import annotations
@@ -30,16 +32,17 @@ import itertools
 import threading
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.cache import LRUCache
 from repro.errors import CatalogError
-from repro.relational.expressions import Col, Expr
+from repro.relational.expressions import Case, Col, Expr, Lit
 from repro.relational.query import Query
+from repro.relational.schema import Schema
 from repro.relational.table import Table
 
 __all__ = [
-    "View", "Catalog", "ColumnFlow", "BlockScope", "RowGuards", "MAX_VIEW_DEPTH",
+    "View", "Catalog", "ColumnFlow", "BlockScope", "Guard", "Guards", "MAX_VIEW_DEPTH",
     "joined_names",
 ]
 
@@ -103,23 +106,51 @@ class BlockScope:
     outputs: tuple[tuple[str, ColumnFlow], ...]  # what the block shows
 
 
-def _guard_key(guards: Mapping[str, Expr]) -> tuple:
-    return tuple(sorted((table, str(p)) for table, p in guards.items()))
+class Guard(NamedTuple):
+    """How a guarded base table is read: only the rows ``rows`` is true on
+    (every row when ``None``), with each ``(column, replacement)`` of
+    ``cells`` replacing that column's value. Both read the stored row."""
+
+    rows: Expr | None = None
+    cells: tuple[tuple[str, Expr], ...] = ()
+
+    def apply(self, base: Table) -> Table:
+        """``base`` read under this guard, column-wise; each row keeps its
+        :class:`RowId` and provenance."""
+        rows, provenance, schema = base.rows, base.provenance, base.schema
+        if self.rows is not None:
+            env = {c: base.column_values(c) for c in self.rows.columns()}
+            flags = self.rows.evaluate_batch(env, len(rows))
+            keep = list(itertools.compress(range(len(flags)), flags))
+            rows, provenance = [rows[i] for i in keep], [provenance[i] for i in keep]
+        if self.cells:
+            env = dict(zip(schema.names, list(zip(*rows)) or [()] * len(schema)))
+            replaced = {c: e.evaluate_batch(env, len(rows)) for c, e in self.cells}
+            rows = list(zip(*(replaced.get(c, v) for c, v in env.items())))
+            schema = Schema(
+                c.as_nullable() if c.name in replaced else c for c in schema
+            )
+        return Table.derived(
+            base.name, schema, rows, provenance, provider=base.provider
+        )
 
 
-class RowGuards(Mapping[str, Expr]):
-    """A read-only ``{base table: predicate}`` guard set, as
-    :meth:`Catalog.row_guards` returns it. It carries the key
-    :meth:`Catalog.guarded` keeps its catalog under, formatted once: a
-    plain mapping with the same guards has the same key."""
+class Guards(Mapping[str, Guard]):
+    """A read-only ``{base table: Guard}`` guard set, as :meth:`Catalog.guards`
+    builds it. It carries the key :meth:`Catalog.guarded` keeps its catalog
+    under, formatted once from every predicate and replacement, so two sets
+    that differ in one cell never share a guarded catalog."""
 
     __slots__ = ("_guards", "key")
 
-    def __init__(self, guards: Mapping[str, Expr]) -> None:
+    def __init__(self, guards: Mapping[str, Guard]) -> None:
         self._guards = dict(guards)
-        self.key = _guard_key(self._guards)
+        self.key = tuple(sorted(
+            (table, str(g.rows), tuple((c, str(e)) for c, e in g.cells))
+            for table, g in self._guards.items()
+        ))
 
-    def __getitem__(self, table: str) -> Expr:
+    def __getitem__(self, table: str) -> Guard:
         return self._guards[table]
 
     def __iter__(self) -> Iterator[str]:
@@ -132,7 +163,7 @@ class RowGuards(Mapping[str, Expr]):
         return self._guards.items()
 
     def __repr__(self) -> str:
-        return f"RowGuards({self._guards!r})"
+        return f"Guards({self._guards!r})"
 
 
 def joined_names(
@@ -541,12 +572,12 @@ class Catalog:
             return (self.uid, self.ddl_version, parts)
 
 
-    # -- row guards -----------------------------------------------------------
+    # -- guards ---------------------------------------------------------------
 
     def restate(self, condition: Expr, over: Query) -> tuple[str, Expr]:
         """``condition``, over the columns ``over`` shows or the FROM-scope
-        columns it hides (§5's hidden-column device), as a predicate over the
-        one base table they are copied from; anything else raises
+        columns it hides (§5's hidden-column device), as an expression over
+        the one base table they are copied from; anything else raises
         :class:`CatalogError`."""
         shown = dict(self._flows(over, 0))
         scopes = [self._block(block, 0).joined for block in over.blocks()]
@@ -564,17 +595,37 @@ class Catalog:
         renames = {name: column for name, (_, column) in copies.items()}
         return tables.pop(), condition.substitute(renames)
 
-    def row_guards(
-        self, conditions: Iterable[tuple[Expr, Query]], query: Query
-    ) -> RowGuards:
-        """Each ``(condition, over)`` pair restated, AND-ed per base table:
-        the guards :meth:`guarded` runs ``query`` under. A guarded table read
-        on the null-extended side of an outer join anywhere below ``query``
-        raises :class:`CatalogError`: its filtered rows would show as NULLs."""
-        guards: dict[str, Expr] = {}
-        for condition, over in conditions:
-            table, predicate = self.restate(condition, over)
-            guards[table] = guards[table] & predicate if table in guards else predicate
+    def guards(
+        self,
+        query: Query,
+        rows: Iterable[tuple[str, Expr]] = (),
+        cells: Iterable[tuple[str, str, Expr]] = (),
+    ) -> Guards:
+        """The guard set :meth:`guarded` runs ``query`` under: each ``(table,
+        predicate)`` of ``rows``, AND-ed per base table, and each ``(table,
+        column, replacement)`` of ``cells``, both over base columns as
+        :meth:`restate` gives them. A guarded table read on the null-extended
+        side of an outer join anywhere below ``query`` raises
+        :class:`CatalogError`: its filtered rows, like its blanked join keys,
+        would show as NULLs."""
+        predicates: dict[str, Expr] = {}
+        for table, predicate in rows:
+            if table in predicates:
+                predicate = predicates[table] & predicate
+            predicates[table] = predicate
+        replacements: dict[str, dict[str, Expr]] = {}
+        for table, column, replacement in cells:
+            columns = replacements.setdefault(table, {})
+            if column in columns:
+                replacement = _both(columns[column], replacement)
+            columns[column] = replacement
+        guards = Guards({
+            table: Guard(
+                predicates.get(table),
+                tuple(sorted(replacements.get(table, {}).items())),
+            )
+            for table in predicates.keys() | replacements.keys()
+        })
         seen: set[str] = set()
         frontier = [query]
         while frontier:
@@ -593,32 +644,42 @@ class Catalog:
                     if name in self._views and name not in seen:
                         seen.add(name)
                         frontier.append(self._views[name].query)
-        return RowGuards(guards)
+        return guards
 
-    def guarded(self, guards: Mapping[str, Expr]) -> "Catalog":
-        """This catalog, except that each base table in ``guards`` holds only
-        the rows its predicate is true on (UNKNOWN drops a row, as WHERE
-        does), with their own :class:`RowId` s. Kept per guard set until DDL
-        runs; a guarded table whose data changed is filtered again in
-        place, so the guarded catalog keeps its uid and plan-cache hook."""
+    def guarded(self, guards: Guards) -> "Catalog":
+        """This catalog, except that each base table in ``guards`` is read
+        under its :class:`Guard`: only the rows its predicate is true on
+        (UNKNOWN drops a row, as WHERE does), with the listed columns
+        replaced, each row keeping its :class:`RowId`. Every query over it,
+        on either engine, reads the guarded rows and cells in each WHERE,
+        JOIN, grouping, DISTINCT, UNION branch, ORDER BY and LIMIT. Kept per
+        guard set until DDL runs; a guarded table whose data changed is
+        guarded again in place, so the guarded catalog keeps its uid and
+        plan-cache hook."""
         if not guards:
             return self
-        key = guards.key if isinstance(guards, RowGuards) else _guard_key(guards)
         with self._lock:
-            kept = self._guarded.get(key)
+            kept = self._guarded.get(guards.key)
             if kept is None:
                 kept = Catalog()
                 kept._tables, kept._views = dict(self._tables), dict(self._views)
-                self._guarded.put(key, kept)
-            for name, predicate in guards.items():
+                self._guarded.put(guards.key, kept)
+            for name, guard in guards.items():
                 base, held = self._tables[name], kept._tables[name]
                 if held is base or held.data_version != base.data_version:
-                    env = {c: base.column_values(c) for c in predicate.columns()}
-                    flags = predicate.evaluate_batch(env, len(base.rows))
-                    held = base.take(itertools.compress(range(len(flags)), flags))
+                    held = guard.apply(base)
                     held.data_version = base.data_version
                     kept._tables[name] = held
             return kept
+
+
+def _both(first: Expr, second: Expr) -> Expr:
+    """One replacement for two on a column: a constant wins (the later of
+    two), and two ``CASE WHEN condition THEN column END`` show the value
+    only where both conditions hold."""
+    if isinstance(first, Case) and isinstance(second, Case):
+        return Case((first.whens[0] & second.whens[0],), first.thens)
+    return second if isinstance(second, Lit) else first
 
 
 def _computed(expr: Expr, scope: Mapping[str, ColumnFlow]) -> ColumnFlow:

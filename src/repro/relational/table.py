@@ -364,6 +364,16 @@ class Table:
         out.provenance = [provs[i] for i in indices]
         return out
 
+    def drop_undersized(self, floor: int) -> tuple["Table", int]:
+        """The rows whose lineage holds at least ``floor`` base rows, and how
+        many were dropped. A floor of at most 1 is no floor: this table
+        comes back untouched, so ``COUNT(*)`` over an empty table, a row no
+        base row feeds, is still answered."""
+        if floor <= 1:
+            return self, 0
+        keep = [i for i in range(len(self)) if len(self.lineage_of(i)) >= floor]
+        return self.take(keep), len(self) - len(keep)
+
     def filter_rows(self, keep: Callable[[dict[str, Any]], bool], *, name: str | None = None) -> "Table":
         """A derived table keeping rows where ``keep(row_dict)`` is true."""
         names = self.schema.names

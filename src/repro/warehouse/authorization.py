@@ -97,12 +97,10 @@ class CubeAuthorizer:
         wide = Query.from_(self.cube.star.wide_view_name())
         query = self.cube.compile(cube_query)
         try:
-            guards = catalog.row_guards([(~p, wide) for p in rule.denied_slices], query)
+            rows = [catalog.restate(~p, wide) for p in rule.denied_slices]
+            guards = catalog.guards(query, rows)
         except CatalogError as exc:
             raise PolicyError(f"a denied slice cannot guard the cube: {exc}") from None
         result = execute(query, catalog.guarded(guards), name=name)
         # Dynamic pass: contributor thresholds via lineage.
-        floor = rule.min_cell_contributors
-        keep = [i for i in range(len(result)) if len(result.lineage_of(i)) >= floor]
-        suppressed = len(result) - len(keep)
-        return result.take(keep, name=name, provider="warehouse"), suppressed
+        return result.drop_undersized(rule.min_cell_contributors)

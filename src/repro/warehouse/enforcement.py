@@ -137,23 +137,18 @@ class WarehouseEnforcer:
                 "warehouse metadata rejects the query: " + "; ".join(reasons)
             )
         base_tables = self.catalog.base_relations_of_query(query)
-        rules = [
-            (~rule.condition, Query.from_(rule.table))
-            for rule in self.metadata.row_rules
-            if rule.metadata.get("deny_row")
-            and rule.table in self.catalog
-            and self.catalog.base_relations(rule.table) & base_tables
-        ]
         try:
-            guarded = self.catalog.guarded(self.catalog.row_guards(rules, query))
+            rows = [
+                self.catalog.restate(~rule.condition, Query.from_(rule.table))
+                for rule in self.metadata.row_rules
+                if rule.metadata.get("deny_row")
+                and rule.table in self.catalog
+                and self.catalog.base_relations(rule.table) & base_tables
+            ]
+            guarded = self.catalog.guarded(self.catalog.guards(query, rows))
         except CatalogError as exc:
             raise ComplianceError(f"a row rule cannot guard the query: {exc}") from None
         result = execute(query, guarded, name=name, config=self.config)
         if not query.is_aggregate:
             return result, 0
-        floor = self.metadata.min_aggregation_for(base_tables)
-        keep = [i for i in range(len(result)) if len(result.lineage_of(i)) >= floor]
-        suppressed = len(result) - len(keep)
-        if not suppressed:
-            return result, 0
-        return result.take(keep, name=name, provider="warehouse"), suppressed
+        return result.drop_undersized(self.metadata.min_aggregation_for(base_tables))

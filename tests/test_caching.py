@@ -58,6 +58,7 @@ from repro.relational import (
     set_default_config,
 )
 from repro.policy import SubjectRegistry
+from repro.relational.catalog import Guard
 from repro.relational.types import ColumnType
 from repro.reports import ReportDefinition
 
@@ -533,27 +534,28 @@ class TestRewriteMemo:
 
     @staticmethod
     def rewritten(enforcer, checker, report):
-        """The kept ``(query, hidden columns, row guards)`` of ``report``."""
-        verdict = checker.check_report(report)
-        conditions = [
-            o.annotation for o in verdict.obligations if o.kind == "intensional"
-        ]
-        return enforcer._rewrite_for_intensional(
-            report, conditions, verdict.covering_metareport
-        )
+        """The kept guard set of ``report``."""
+        return enforcer._guards_for(report, checker.check_report(report))
 
-    def test_a_repeated_delivery_runs_the_same_query_object(self):
+    def test_a_repeated_delivery_runs_the_same_query_object(self, monkeypatch):
+        import repro.core.translation as translation
+
+        ran = []
+        run = translation.execute
+        monkeypatch.setattr(
+            translation, "execute", lambda q, *a, **k: ran.append(q) or run(q, *a, **k)
+        )
         cat, checker, _, _ = _exams()
         enforcer = ReportLevelEnforcer(catalog=cat)
         report = _report(self.SQL)
         self.deliver(enforcer, checker, report)
+        self.deliver(enforcer, checker, report)
+        assert ran and all(query is report.query for query in ran)
         first = self.rewritten(enforcer, checker, report)
-        query, hidden, guards = first
-        assert query is report.query and hidden == ()
-        assert guards == {"exams": parse_expression("disease != 'HIV'")}
+        assert first == {"exams": Guard(parse_expression("disease != 'HIV'"))}
         assert self.rewritten(enforcer, checker, report) is first
         # One guarded catalog serves every delivery, and no view was added.
-        assert cat.guarded(guards) is cat.guarded(guards)
+        assert cat.guarded(first) is cat.guarded(first)
         assert cat.view_names() == ("mr",)
 
     def test_follows_a_replaced_view_it_extends(self):
@@ -576,8 +578,8 @@ class TestRewriteMemo:
             }
         # The condition is traced through the replaced view, and still
         # guards the base table without a view of its own.
-        assert self.rewritten(enforcer, checker, report)[2] == {
-            "exams": parse_expression("disease != 'HIV'")
+        assert self.rewritten(enforcer, checker, report) == {
+            "exams": Guard(parse_expression("disease != 'HIV'"))
         }
         assert not cat.is_view("mr__plaext")
 

@@ -44,13 +44,6 @@ class TestAnnotations:
     def test_integration_permission_describe(self):
         assert "may" in IntegrationPermission("muni", True).describe()
 
-    def test_intensional_condition_hidden_columns(self):
-        ann = IntensionalCondition(
-            "result", parse_expression("disease != 'HIV' AND result > 0")
-        )
-        assert ann.hidden_columns({"result"}) == frozenset({"disease"})
-        assert ann.hidden_columns({"result", "disease"}) == frozenset()
-
     def test_intensional_action_validated(self):
         with pytest.raises(PolicyError):
             IntensionalCondition("x", parse_expression("a > 0"), action="explode")

@@ -154,12 +154,20 @@ class TestVpdExpansionEdges:
         out = policy.run(query, cat, ctx)
         assert sorted(out.rows, key=str) == [("Carl",), ("Dana",), (None,)]
 
-    def test_computed_column_over_masked_rejected(self):
+    def test_computed_column_over_masked_reads_the_mask(self):
+        """The result is the query's over a ``t`` whose ``a`` was masked."""
         cat, ctx = self._world()
         policy = VPDPolicy()
         policy.add_rule(VPDRule("t", masks=(ColumnMask("a"),)))
-        with pytest.raises(QueryError, match="masked"):
-            policy.run(parse_query("SELECT a + 1 AS b FROM t"), cat, ctx)
+        query = parse_query("SELECT a + 1 AS b FROM t")
+        out = policy.run(query, cat, ctx)
+        base = cat.table("t")
+        masked = Catalog()
+        masked.add_table(Table.from_rows(
+            "t", base.schema, [(None,) * len(row) for row in base.rows],
+            provider=base.provider,
+        ))
+        assert out.rows == execute(query, masked).rows == [(None,)] * len(base)
 
 
 class TestParserEdges:

@@ -251,7 +251,12 @@ class TestCompliance:
         )
         assert set(verdicts) == {"a", "b"}
 
-    def test_cell_condition_on_aggregate_is_violation(self, universe_catalog):
+    def test_cell_condition_on_aggregate_is_an_obligation(self, universe_catalog):
+        """The grouping reads the blanked cells: both HIV rows' drugs fall
+        into one NULL group."""
+        from repro.core import ReportLevelEnforcer
+        from repro.policy import SubjectRegistry
+
         mrs = MetaReportSet()
         mr = MetaReport("mr_0", Query.from_("wide").project(*WIDE_COLUMNS))
         registry = PlaRegistry()
@@ -268,7 +273,17 @@ class TestCompliance:
         mrs.add(mr)
         mrs.register_views(universe_catalog)
         checker = ComplianceChecker(catalog=universe_catalog, metareports=mrs)
-        verdict = checker.check_report(
-            report("r", "SELECT drug, COUNT(*) AS n FROM wide GROUP BY drug")
+        r = report("r", "SELECT drug, COUNT(*) AS n FROM wide GROUP BY drug")
+        verdict = checker.check_report(r)
+        assert verdict.compliant
+        assert [o.kind for o in verdict.obligations] == ["intensional"]
+        subjects = SubjectRegistry()
+        subjects.purposes.declare("care")
+        subjects.add_role("analyst")
+        subjects.add_user("ann", "analyst")
+        instance = ReportLevelEnforcer(universe_catalog).generate(
+            r, subjects.context("ann", "care"), verdict
         )
-        assert not verdict.compliant
+        assert sorted(instance.table.rows, key=repr) == [
+            ("DM", 1), ("DR", 3), (None, 2),
+        ]

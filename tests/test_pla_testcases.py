@@ -91,6 +91,28 @@ class TestHarnessRun:
         )
         assert results and all(r.passed for r in results)
 
+    @pytest.mark.parametrize(
+        "threshold", [(), (AggregationThreshold(3),)], ids=["rows", "aggregate"]
+    )
+    def test_cell_case_fails_when_the_enforcer_drops_the_rule(self, monkeypatch, threshold):
+        from repro.core import ReportLevelEnforcer
+        from repro.relational.catalog import Guards
+
+        rule = IntensionalCondition(
+            "drug", parse_expression("disease != 'HIV'"), "suppress_cell"
+        )
+        metareport = approved_metareport((*threshold, rule))
+
+        def cell_case():
+            results = PlaTestHarness().run(metareport)
+            return next(r for r in results if r.case == "intensional/edge-rows")
+
+        assert cell_case().passed
+        monkeypatch.setattr(ReportLevelEnforcer, "_guards_for", lambda *_: Guards({}))
+        result = cell_case()
+        assert not result.passed
+        assert result.detail == "0 of 7 cell(s) blanked, 1 fail the condition"
+
     def test_fully_restricted_pla_rejected(self):
         annotations = tuple(
             AttributeAccess(column, frozenset())

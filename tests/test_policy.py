@@ -192,17 +192,30 @@ class TestVPD:
         assert all(r[0] is None for r in out.rows)
         assert out.schema.names[0] == "patient"
 
-    def test_aggregate_over_masked_column_rejected(self, subjects, paper_catalog):
+    def test_aggregate_over_masked_column_groups_the_mask(self, subjects, paper_catalog):
+        """The grouping reads the masked cells: the result is the query's
+        over a ``prescriptions`` whose patients were masked first."""
+        from repro.relational import Catalog, Table, execute_row
+        from repro.relational.schema import Schema
+
         policy = VPDPolicy()
         policy.add_rule(VPDRule("prescriptions", masks=(ColumnMask("patient"),)))
-        with pytest.raises(QueryError):
-            policy.run(
-                parse_query(
-                    "SELECT patient, COUNT(*) AS n FROM prescriptions GROUP BY patient"
-                ),
-                paper_catalog,
-                self._context(subjects),
-            )
+        query = parse_query(
+            "SELECT patient, COUNT(*) AS n FROM prescriptions GROUP BY patient"
+        )
+        out = policy.run(query, paper_catalog, self._context(subjects))
+        masked = Catalog()
+        for name in paper_catalog.table_names():
+            base = paper_catalog.table(name)
+            if name == "prescriptions":
+                base = Table.from_rows(
+                    name, Schema(c.as_nullable() for c in base.schema),
+                    [(None, *row[1:]) for row in base.rows], provider=base.provider,
+                )
+            masked.add_table(base)
+        want = execute_row(query, masked)
+        assert out.rows == want.rows == [(None, len(masked.table("prescriptions")))]
+        assert [p.lineage for p in out.provenance] == [p.lineage for p in want.provenance]
 
     def test_left_join_protected_side_rejected(self, subjects, paper_catalog):
         policy = VPDPolicy()

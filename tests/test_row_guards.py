@@ -1,16 +1,20 @@
-"""A row obligation is one thing at every level: a predicate over the columns
-of one base table, which filters that table wherever a query reads it.
+"""An obligation is one thing at every level: a rewrite of one base table,
+applied wherever a query reads that table.
 
-VPD rules, warehouse ``deny_row`` rules, cube denied slices and report-level
+A row obligation is a predicate over the table's columns. VPD rules,
+warehouse ``deny_row`` rules, cube denied slices and report-level
 ``suppress_row`` conditions all run the query over
 :meth:`~repro.relational.Catalog.guarded`, so the filter runs inside view
 chains and UNION branches, before any join, grouping, DISTINCT, ORDER BY or
-LIMIT. Each level fails closed with its own typed error on a condition over
-a derived or aggregated column, on one over two base tables, and on a
-guarded table read on the null-extended side of an outer join. The property
-checks the report, VPD and warehouse points against the same query run by
-the row engine over a catalog whose guarded table was filtered by a plain
-loop.
+LIMIT. A cell obligation (report ``suppress_cell``, a ``suppress``
+anonymization, a VPD column mask) replaces one column's value in the same
+guarded table, so every WHERE, grouping, DISTINCT and rename reads the
+blanked cell. Each level fails closed with its own typed error on a
+condition over a derived or aggregated column, on one over two base tables,
+and on a guarded table read on the null-extended side of an outer join.
+The properties check each point against the same query run by the row
+engine over a catalog whose guarded table was filtered, or blanked, by a
+plain loop.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from hypothesis import strategies as st
 
 from repro.core import (
     PLA,
+    AggregationThreshold,
+    AnonymizationRequirement,
     ComplianceChecker,
     IntensionalCondition,
     MetaReport,
@@ -38,7 +44,13 @@ from repro.errors import (
     EnforcementError,
     QueryError,
 )
-from repro.policy import IntensionalAssociation, SubjectRegistry, VPDPolicy, VPDRule
+from repro.policy import (
+    ColumnMask,
+    IntensionalAssociation,
+    SubjectRegistry,
+    VPDPolicy,
+    VPDRule,
+)
 from repro.relational import (
     Catalog,
     ExecutionConfig,
@@ -52,6 +64,8 @@ from repro.relational import (
     parse_expression,
     parse_query,
 )
+from repro.relational.algebra import AggSpec
+from repro.relational.catalog import Guard, Guards
 from repro.relational.execconfig import set_default_config
 from repro.relational.expressions import Not
 from repro.relational.types import ColumnType
@@ -59,9 +73,15 @@ from repro.reports import DeliveryService, ReportCatalog, ReportDefinition
 from repro.simulation import build_scenario
 from repro.warehouse import (
     ColumnAnnotation,
+    Cube,
+    CubeAuthorizationRule,
+    CubeAuthorizer,
     PrivacyMetadataRegistry,
+    StarSchema,
     TableAnnotation,
     WarehouseEnforcer,
+    build_dimension,
+    build_fact,
 )
 from tests.test_engine_differential import (
     D_SCHEMA,
@@ -114,6 +134,15 @@ def visits_catalog() -> Catalog:
     return catalog
 
 
+def analyst():
+    """User ``ann`` (role ``analyst``) for purpose ``care``."""
+    subjects = SubjectRegistry()
+    subjects.purposes.declare("care")
+    subjects.add_role("analyst")
+    subjects.add_user("ann", "analyst")
+    return subjects.context("ann", "care")
+
+
 def service(mr_sql: str, annotations: tuple, *reports: tuple[str, str]):
     """A delivery service over ``visits`` with one approved meta-report
     ``mr``; ``reports`` are ``(name, sql)`` pairs for analyst ``ann``."""
@@ -144,6 +173,11 @@ def service(mr_sql: str, annotations: tuple, *reports: tuple[str, str]):
         subjects=subjects,
         resilience=None,
     )
+
+
+def rows_of(table: str, predicate) -> Guards:
+    """The guard set that keeps ``table``'s rows ``predicate`` is true on."""
+    return Guards({table: Guard(predicate)})
 
 
 def hide_hiv_rows() -> tuple:
@@ -245,55 +279,173 @@ class TestProbes:
         assert out.rows == [("south",), ("east",)]
 
     @pytest.mark.parametrize(
-        "mr_sql, report_sql",
+        "mr_sql, report_sql, want",
         [
             (
                 "SELECT patient, region, disease FROM visits",
                 "SELECT DISTINCT disease, region FROM mr",
+                {("HIV", None), ("flu", "south"), ("asthma", "east")},
             ),
-            ("SELECT patient, region FROM visits", "SELECT DISTINCT region FROM mr"),
+            (
+                "SELECT patient, region FROM visits",
+                "SELECT DISTINCT region FROM mr",
+                {(None,), ("south",), ("east",)},
+            ),
         ],
         ids=["shown", "hidden"],
     )
     @ENGINES
-    def test_distinct_report_under_suppress_cell_is_refused(
-        self, mode, mr_sql, report_sql
-    ):
-        """Cells blanked after DISTINCT would come back as duplicates, one per
-        distinct hidden value."""
+    def test_distinct_reads_the_blanked_cells(self, mode, mr_sql, report_sql, want):
+        """DISTINCT reads the blanked cells, so the two HIV patients' regions
+        come back as one NULL, not as one row per hidden value."""
         svc = service(mr_sql, blank_region(), ("r", report_sql))
-        verdict = svc.checker.check_report(svc.reports.current("r"))
-        assert not verdict.compliant
-        assert "a DISTINCT report" in str(verdict.violations[0])
-        with engine(mode), pytest.raises(ComplianceError):
-            svc.deliver("r", user="ann", purpose="care")
-        assert len(svc.refusals) == 1
+        with engine(mode):
+            rows = svc.deliver("r", user="ann", purpose="care").table.rows
+        assert len(rows) == len(want) and set(rows) == want
 
     @ENGINES
     def test_an_obligation_the_enforcer_cannot_apply_is_a_logged_refusal(self, mode):
+        """A cell rule whose condition reads another base table than its
+        attribute fails closed."""
         svc = service(
-            "SELECT patient, region FROM visits", blank_region(),
-            ("r", "SELECT * FROM mr"),
+            "SELECT visits.patient, region, kin FROM visits JOIN kin ON patient = patient",
+            (IntensionalCondition("region", parse_expression("kin != 'Eve'"), "suppress_cell"),),
+            ("r", "SELECT region FROM mr"),
         )
-        with engine(mode), pytest.raises(ComplianceError, match="explicit SELECT"):
+        with engine(mode), pytest.raises(ComplianceError, match="reads 2 base tables"):
             svc.deliver("r", user="ann", purpose="care")
         (refusal,) = svc.refusals
-        assert "attribute 'region' shown only where" in refusal.reason
+        assert "suppress_cell [attribute 'region' shown only where" in refusal.reason
 
     @ENGINES
-    def test_a_refused_delivery_runs_no_ddl(self, mode):
-        """``mr`` hides the condition column ``disease``; the refusal comes
-        before the enforcer would extend ``mr`` to reach it."""
+    def test_a_delivery_over_a_hiding_view_runs_no_ddl(self, mode):
+        """``mr`` hides the condition column ``disease``; the rule guards
+        ``visits`` itself, so no view is added to reach it."""
         svc = service(
             "SELECT patient, region FROM visits", blank_region(),
             ("r", "SELECT * FROM mr"),
         )
         catalog = svc.enforcer.catalog
-        ddl_version, views = catalog.ddl_version, catalog.view_names()
-        with engine(mode), pytest.raises(ComplianceError, match="explicit SELECT"):
-            svc.deliver("r", user="ann", purpose="care")
+        ddl_version = catalog.ddl_version
+        with engine(mode):
+            table = svc.deliver("r", user="ann", purpose="care").table
+        assert table.rows == [
+            ("Alice", None), ("Bob", "south"), ("Carl", "east"), ("Dana", None),
+        ]
         assert catalog.ddl_version == ddl_version
-        assert catalog.view_names() == views == ("mr",)
+        assert catalog.view_names() == ("mr",)
+
+
+class TestCellProbes:
+    """A WHERE clause reads the blanked cell, so a filter on a hidden value
+    finds no row. The first two run the ``mr`` fixture of
+    ``tests/test_name_resolution.py`` for the health director."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT patient FROM mr WHERE disease = 'HIV'",
+            "SELECT patient, cost FROM mr WHERE region = 'north'",
+        ],
+        ids=["suppress_cell", "suppress"],
+    )
+    @ENGINES
+    def test_a_filter_on_a_blanked_value_finds_no_row(self, mode, sql):
+        from tests.test_name_resolution import MR_PLA, deployment, delivery, report
+
+        catalog, checker = deployment(
+            ("mr", "SELECT patient, region, disease, cost FROM visits", MR_PLA)
+        )
+        svc = delivery(catalog, checker, report(sql, "health_director", "w"))
+        with engine(mode):
+            assert svc.deliver("w", user="dora", purpose="care").table.rows == []
+
+    @pytest.mark.parametrize(
+        "extra, want",
+        [
+            ((), [("Alice", None), ("Bob", None), ("Carl", "east"), ("Dana", None)]),
+            ((AnonymizationRequirement("region", "suppress"),), [
+                ("Alice", None), ("Bob", None), ("Carl", None), ("Dana", None),
+            ]),
+        ],
+        ids=["two-conditions", "and-suppress"],
+    )
+    def test_cell_rules_on_one_column_show_it_only_where_each_does(self, extra, want):
+        rules = (
+            *blank_region(),
+            IntensionalCondition("region", parse_expression("cost > 10"), "suppress_cell"),
+            *extra,
+        )
+        svc = service(
+            "SELECT patient, region, disease, cost FROM visits", rules,
+            ("r", "SELECT patient, region FROM mr"),
+        )
+        assert svc.deliver("r", user="ann", purpose="care").table.rows == want
+
+    @ENGINES
+    def test_a_vpd_mask_is_read_by_the_where_clause(self, mode):
+        policy = VPDPolicy()
+        policy.add_rule(VPDRule("visits", masks=(ColumnMask("disease"),)))
+        with engine(mode):
+            out = policy.run(
+                parse_query("SELECT patient, disease FROM visits WHERE disease = 'HIV'"),
+                visits_catalog(), analyst(),
+            )
+        assert out.rows == []
+
+
+class TestFloors:
+    """A floor of 1 keeps ``COUNT(*)`` over an empty table, a row no base row
+    feeds, at the report, warehouse and cube points; a floor of 2 drops it."""
+
+    COUNT = "SELECT COUNT(*) AS cnt FROM t"
+
+    @staticmethod
+    def empty_t() -> Catalog:
+        catalog = Catalog()
+        catalog.add_table(Table.from_rows("t", T_SCHEMA, [], provider="p"))
+        return catalog
+
+    @pytest.mark.parametrize("floor, want", [(1, ([(0,)], 0)), (2, ([], 1))])
+    def test_report(self, floor, want):
+        verdict = ComplianceVerdict(
+            report="p", version=1, compliant=True, covering_metareport=None,
+            obligations=(
+                RuntimeObligation("aggregation_threshold", AggregationThreshold(floor)),
+            ),
+        )
+        report = ReportDefinition(
+            name="p", title="p", query=parse_query(self.COUNT),
+            audience=frozenset({"analyst"}), purpose="care",
+        )
+        instance = ReportLevelEnforcer(self.empty_t()).generate(report, analyst(), verdict)
+        assert (instance.table.rows, instance.suppressed_rows) == want
+
+    @pytest.mark.parametrize("floor, want", [(1, ([(0,)], 0)), (2, ([], 1))])
+    def test_warehouse(self, floor, want):
+        metadata = PrivacyMetadataRegistry()
+        metadata.annotate_table(TableAnnotation("t", min_aggregation=floor))
+        enforcer = WarehouseEnforcer(catalog=self.empty_t(), metadata=metadata)
+        table, suppressed = enforcer.run(parse_query(self.COUNT), analyst())
+        assert (table.rows, suppressed) == want
+
+    @pytest.mark.parametrize("floor, want", [(1, ([(0,)], 0)), (2, ([], 1))])
+    def test_cube(self, floor, want):
+        schema = make_schema(("drug", ColumnType.STRING), ("cost", ColumnType.INT))
+        wide = Table.from_rows("wide", schema, [("DR", 10)], provider="hospital")
+        dim = build_dimension("drug", wide, ["drug"])
+        fact = build_fact("rx", wide, [(dim, {"drug": "drug"})], measures=["cost"])
+        cube = Cube(StarSchema("rx", fact, [dim]), Catalog())
+        authorizer = CubeAuthorizer(cube)
+        # The denied slice guards away every fact row.
+        authorizer.add_rule(CubeAuthorizationRule(
+            role="analyst", max_detail={}, min_cell_contributors=floor,
+            denied_slices=(parse_expression("cost > 0"),),
+        ))
+        table, suppressed = authorizer.evaluate(
+            analyst(), cube.base_query([], [AggSpec("count", None, "cnt")])
+        )
+        assert (table.rows, suppressed) == want
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +667,122 @@ def test_each_point_equals_the_query_over_prefiltered_tables(
     if want_exc is not None or got_exc is not None:
         assert (type(got_exc), str(got_exc)) == (type(want_exc), str(want_exc))
         return
-    if point == "warehouse" and query.is_aggregate:
-        # Its aggregation floor (1 here) drops a group no base row feeds.
-        want = want.take([i for i, p in enumerate(want.provenance) if p.lineage])
+    assert list(got.rows) == list(want.rows)
+    assert [p.lineage for p in got.provenance] == [p.lineage for p in want.provenance]
+
+
+# ---------------------------------------------------------------------------
+# The property: each cell point equals the query over base tables whose
+# column was blanked first
+# ---------------------------------------------------------------------------
+
+
+def _blanked_catalog(catalog: Catalog, table: str, column: str, condition) -> Catalog:
+    """A fresh catalog with ``table``'s ``column`` NULL in every row
+    ``condition`` is not true on (every row when there is none), blanked by
+    a plain loop; the views are kept."""
+    out = Catalog()
+    for name in catalog.table_names():
+        base = catalog.table(name)
+        if name == table:
+            names = base.schema.names
+            at = names.index(column)
+            rows = []
+            for row in base.rows:
+                shown = condition is not None and condition.evaluate(dict(zip(names, row)))
+                rows.append(row if shown is True else row[:at] + (None,) + row[at + 1:])
+            base = Table.from_rows(name, base.schema, rows, provider=base.provider)
+        out.add_table(base)
+    for name in catalog.view_names():
+        out.add_view(catalog.view(name))
+    return out
+
+
+def _report_cell_point(catalog, query, table, column, rule):
+    catalog.add_view(View("mr_cell", Query.from_(table)))
+    kind = "intensional" if isinstance(rule, IntensionalCondition) else "anonymize"
+    verdict = ComplianceVerdict(
+        report="p", version=1, compliant=True, covering_metareport="mr_cell",
+        obligations=(RuntimeObligation(kind, rule),),
+    )
+    report = ReportDefinition(
+        name="p", title="p", query=query, audience=frozenset({"analyst"}),
+        purpose="care",
+    )
+    return ReportLevelEnforcer(catalog).generate(report, analyst(), verdict).table
+
+
+CELL_POINTS = {
+    "suppress_cell": (
+        lambda catalog, query, table, column, condition: _report_cell_point(
+            catalog, query, table, column,
+            IntensionalCondition(column, condition, "suppress_cell"),
+        ),
+        EnforcementError,
+    ),
+    "suppress": (
+        lambda catalog, query, table, column, _: _report_cell_point(
+            catalog, query, table, column, AnonymizationRequirement(column, "suppress"),
+        ),
+        EnforcementError,
+    ),
+    "mask": (
+        lambda catalog, query, table, column, _: _vpd_mask_point(
+            catalog, query, table, column
+        ),
+        QueryError,
+    ),
+}
+
+
+def _vpd_mask_point(catalog, query, table, column):
+    policy = VPDPolicy()
+    policy.add_rule(VPDRule(table, masks=(ColumnMask(column),)))
+    return policy.run(query, catalog, analyst())
+
+
+@st.composite
+def cell_rules(draw, conditioned: bool):
+    """A column of ``t`` or ``d``, and a condition over that table's columns
+    when ``conditioned``."""
+    if draw(st.booleans()):
+        table, ints, strs = "t", ["x", "y"], ["g"]
+    else:
+        table, ints, strs = "d", ["z"], ["h"]
+    column = draw(st.sampled_from(ints + strs))
+    return table, column, draw(_predicates(ints, strs)) if conditioned else None
+
+
+@pytest.mark.parametrize("point", sorted(CELL_POINTS))
+@pytest.mark.parametrize("mode", ["row", "columnar"])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    t_rows=t_rows_strategy,
+    d_rows=d_rows_strategy,
+    tree=query_trees(),
+    data=st.data(),
+)
+def test_each_cell_point_equals_the_query_over_preblanked_tables(
+    point, mode, t_rows, d_rows, tree, data
+):
+    query, views, _ = tree
+    table, column, condition = data.draw(cell_rules(point == "suppress_cell"))
+    catalog = Catalog()
+    catalog.add_table(Table.from_rows("t", T_SCHEMA, t_rows, provider="p"))
+    catalog.add_table(Table.from_rows("d", D_SCHEMA, d_rows, provider="q"))
+    for view in views:
+        catalog.add_view(view)
+    enforce, refusal = CELL_POINTS[point]
+    with engine(mode):
+        got, got_exc = _outcome(lambda: enforce(catalog, query, table, column, condition))
+    if _reads_null_extended(query, views, table):
+        assert isinstance(got_exc, refusal) and "null-extended" in str(got_exc)
+        return
+    oracle = _blanked_catalog(catalog, table, column, condition)
+    want, want_exc = _outcome(lambda: execute_row(query, oracle))
+    if want_exc is not None or got_exc is not None:
+        assert (type(got_exc), str(got_exc)) == (type(want_exc), str(want_exc))
+        return
     assert list(got.rows) == list(want.rows)
     assert [p.lineage for p in got.provenance] == [p.lineage for p in want.provenance]
 
@@ -553,7 +818,7 @@ class TestLifecycle:
             return member, fact.insert(tuple(row))
 
         total = sum(n for _, n in deliver().rows)
-        guarded = catalog.guarded({"dim_disease": NOT_HIV})
+        guarded = catalog.guarded(rows_of("dim_disease", NOT_HIV))
         assert len(catalog._guarded) == 1
 
         member, fact_row = add(90, "HIV")
@@ -566,20 +831,21 @@ class TestLifecycle:
         assert sum(n for _, n in table.rows) == total + 1
         assert {member, fact_row} <= table.all_lineage()
         # Filtered again in place: one guarded catalog served all three.
-        assert catalog.guarded({"dim_disease": NOT_HIV}) is guarded
+        assert catalog.guarded(rows_of("dim_disease", NOT_HIV)) is guarded
         assert len(catalog._guarded) == 1
 
     def test_a_guard_set_carries_its_key(self, monkeypatch):
-        """``row_guards`` returns a read-only guard set whose key is formatted
-        once; a plain mapping of the same guards finds the same catalog."""
+        """``guards`` returns a read-only guard set whose key is formatted
+        once; a guard set built anew with the same guards finds the same
+        catalog."""
         from repro.relational.expressions import Comparison
 
         catalog = visits_catalog()
         query = parse_query("SELECT region FROM visits")
-        guards = catalog.row_guards([(NOT_HIV, query)], query)
-        assert guards == {"visits": NOT_HIV}
+        guards = catalog.guards(query, [catalog.restate(NOT_HIV, query)])
+        assert guards == {"visits": Guard(NOT_HIV)}
         kept = catalog.guarded(guards)
-        assert catalog.guarded({"visits": NOT_HIV}) is kept
+        assert catalog.guarded(rows_of("visits", NOT_HIV)) is kept
         with pytest.raises(TypeError):
             guards["kin"] = NOT_HIV  # type: ignore[index]
 
@@ -592,14 +858,14 @@ class TestLifecycle:
 
     def test_ddl_rebuilds_the_guarded_catalog_and_the_memo_is_bounded(self):
         catalog = visits_catalog()
-        guards = {"visits": NOT_HIV}
+        guards = rows_of("visits", NOT_HIV)
         first = catalog.guarded(guards)
         assert catalog.guarded(guards) is first
         catalog.add_view(View("unrelated", parse_query("SELECT region FROM visits")))
         second = catalog.guarded(guards)
         assert second is not first and second.is_view("unrelated")
         for cost in range(100):
-            catalog.guarded({"visits": parse_expression(f"cost != {cost}")})
+            catalog.guarded(rows_of("visits", parse_expression(f"cost != {cost}")))
         assert len(catalog._guarded) <= 64
 
     def test_guarded_inserts_keep_one_plan_cache_hook(self):
@@ -607,7 +873,7 @@ class TestLifecycle:
         cache = PlanCache()
         config = ExecutionConfig(mode="columnar", plan_cache=cache)
         query = parse_query("SELECT patient, cost FROM visits")
-        guards = {"visits": NOT_HIV}
+        guards = rows_of("visits", NOT_HIV)
         visits = catalog.table("visits")
         for i in range(100):
             visits.insert((f"p{i}", "north", "HIV" if i % 2 else "flu", i))
@@ -615,3 +881,22 @@ class TestLifecycle:
             assert len(result) == 2 + (i // 2 + 1)
         assert len(cache._hooked_catalogs) <= 1
         assert catalog.ddl_version == 2  # the two add_table calls
+
+    def test_guard_sets_that_differ_in_one_cell_share_nothing(self):
+        """Two guard sets that differ only in one replacement get two guarded
+        catalogs, and a query over each gets its own plan-cache entry."""
+        catalog = visits_catalog()
+        cache = PlanCache()
+        config = ExecutionConfig(mode="columnar", plan_cache=cache)
+        query = parse_query("SELECT patient, region FROM visits")
+        blank = [
+            catalog.guards(query, cells=[("visits", "region", replacement)])
+            for replacement in (parse_expression("NULL"), parse_expression("'x'"))
+        ]
+        assert blank[0].key != blank[1].key
+        first, second = (catalog.guarded(guards) for guards in blank)
+        assert first is not second
+        rows = [execute(query, guarded, config=config).rows for guarded in (first, second)]
+        assert {region for _, region in rows[0]} == {None}
+        assert {region for _, region in rows[1]} == {"x"}
+        assert len(cache) == 2

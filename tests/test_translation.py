@@ -197,14 +197,17 @@ class TestHiddenColumns:
         verdict = checker.check_report(report)
         assert verdict.compliant
         instance = enforcer.generate(report, subjects.context("ann", "care"), verdict)
-        # hidden column projected away again
+        # the hidden condition column is never delivered
         assert instance.table.schema.names == ("patient", "result")
         by_patient = {r["patient"]: r["result"] for r in instance.table.iter_dicts()}
         assert by_patient == {"Alice": None, "Bob": "normal"}
 
     def test_hidden_condition_column_behind_a_join_view(self):
-        """The condition column may come from any relation of the view's
-        FROM: here ``disease`` lives in ``patients``, joined into ``jv``."""
+        """``disease`` lives in ``patients``, joined into ``jv``, and
+        ``result`` in ``exams``. ``jv`` hides ``disease``, so the condition
+        cannot be traced from ``mr``; it would read another base table than
+        the attribute anyway. The delivery is refused with a typed error
+        naming the clause."""
         cat = Catalog()
         exams = make_schema(("k", ColumnType.INT), ("result", ColumnType.STRING))
         patients = make_schema(("k2", ColumnType.INT), ("disease", ColumnType.STRING))
@@ -247,14 +250,11 @@ class TestHiddenColumns:
         )
         verdict = ComplianceChecker(catalog=cat, metareports=mrs).check_report(report)
         assert verdict.compliant and verdict.covering_metareport == "mr"
-        instance = ReportLevelEnforcer(catalog=cat).generate(
-            report, subjects.context("ann", "care"), verdict
-        )
-        assert instance.table.schema.names == ("k", "result")
-        assert {r["k"]: r["result"] for r in instance.table.iter_dicts()} == {
-            1: None,
-            2: "normal",
-        }
+        with pytest.raises(EnforcementError, match="unknown column 'disease'") as refused:
+            ReportLevelEnforcer(catalog=cat).generate(
+                report, subjects.context("ann", "care"), verdict
+            )
+        assert "[attribute 'result' shown only where" in str(refused.value)
 
 
 class TestCrossLayerProjection:
@@ -306,7 +306,9 @@ class TestCrossLayerProjection:
 
     def test_condition_on_joined_column_of_star_join_view(self):
         """A ``SELECT *`` view over a join exposes the joined table's
-        columns, so a condition on one of them is enforced, not refused."""
+        columns, so a condition on one of them passes the compliance check;
+        blanking ``exams.result`` by ``patients.disease`` is then refused
+        with a typed error naming the clause."""
         cat = Catalog()
         cat.add_table(
             Table.from_rows(
@@ -351,12 +353,9 @@ class TestCrossLayerProjection:
         report = rpt("SELECT k, result FROM jv")
         verdict = checker.check_report(report)
         assert verdict.compliant
-        instance = enforcer.generate(report, subjects.context("ann", "care"), verdict)
-        assert instance.table.schema.names == ("k", "result")
-        assert {r["k"]: r["result"] for r in instance.table.iter_dicts()} == {
-            1: None,
-            2: "normal",
-        }
+        with pytest.raises(EnforcementError, match="reads 2 base tables") as refused:
+            enforcer.generate(report, subjects.context("ann", "care"), verdict)
+        assert "[attribute 'result' shown only where" in str(refused.value)
 
 
 class TestExtensionViewReuse:

@@ -68,23 +68,16 @@ def planner_calls(monkeypatch):
 
 def _delivery_queries(scenario) -> list:
     """``(query, catalog)``: each report on the catalog and on the guarded
-    catalog its suppress_row conditions give it, the query its enforcer
-    runs on that guarded catalog, and each meta-report view."""
+    catalog its row and cell rules give it, which its enforcer runs it on,
+    and each meta-report view."""
     catalog = scenario.bi_catalog
     runs = []
     for definition in scenario.report_catalog.all_current():
         verdict = scenario.checker.check_report(definition)
-        conditions = [
-            o.annotation for o in verdict.obligations if o.kind == "intensional"
-        ]
-        rewritten, _, guards = scenario.enforcer._rewrite_for_intensional(
-            definition, conditions, verdict.covering_metareport
-        )
-        guarded = catalog.guarded(guards)
+        guards = scenario.enforcer._guards_for(definition, verdict)
         runs += [
             (definition.query, catalog),
-            (definition.query, guarded),
-            (rewritten, guarded),
+            (definition.query, catalog.guarded(guards)),
         ]
     for metareport in scenario.metareports:
         runs.append((catalog.view(metareport.name).query, catalog))
